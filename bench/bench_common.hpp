@@ -146,9 +146,8 @@ inline void write_csv(const util::Table& table, const util::Options& opts,
 }
 
 /// One divergence between two supposedly identical runs, for the
-/// bit-identity gates (cross-thread, cross-window-mode, cross-engine-mode,
-/// cross-storage, repeat-trial): the simulated-side field that differed
-/// and both values, pre-rendered.
+/// bit-identity gates (cross-thread, cross-storage, repeat-trial): the
+/// simulated-side field that differed and both values, pre-rendered.
 struct FieldDiff {
   const char* field;
   std::string a;
@@ -159,8 +158,7 @@ struct FieldDiff {
 /// of a failure knows what was deliberately NOT compared — the
 /// host-side diagnostic fields the comparison excludes (they describe
 /// how the host executed the schedule, not the schedule itself, and
-/// legitimately vary with threads / window mode / engine mode), then
-/// exits 4.
+/// legitimately vary with the thread count), then exits 4.
 [[noreturn]] inline void die_divergence(const std::string& context,
                                         const std::vector<FieldDiff>& diffs) {
   for (const FieldDiff& d : diffs) {
@@ -169,9 +167,7 @@ struct FieldDiff {
   }
   std::fprintf(stderr,
                "bench: host-side diagnostic fields excluded from this "
-               "comparison: threads_used, windows, window_merges, "
-               "shard_steals, speculation_rollbacks, speculation_commits, "
-               "speculated_events, replayed_events, checkpoint_bytes\n");
+               "comparison: threads_used, windows, window_merges\n");
   std::exit(4);
 }
 

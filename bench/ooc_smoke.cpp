@@ -156,9 +156,6 @@ int solve_and_report(const util::Options& opts, const graph::Csr& csr,
   spec.nodes = static_cast<std::uint32_t>(opts.get_int("nodes", 2));
   runtime::Machine machine(spec.topology());
   machine.set_threads(static_cast<unsigned>(opts.get_int("threads", 1)));
-  machine.set_window_mode(opts.get("window-mode", "adaptive") == "fixed"
-                              ? runtime::WindowMode::kFixed
-                              : runtime::WindowMode::kAdaptive);
   const auto source =
       static_cast<graph::VertexId>(opts.get_int("source", 0));
   sssp::SolverOptions sopts;

@@ -7,8 +7,6 @@
 //
 //   ./build/bench/wallclock --scales 16,18 --trials 3
 //   ./build/bench/wallclock --scale 18 --threads 1,2,4 --trials 3
-//   ./build/bench/wallclock --scale 16 --threads 1,4 --window-mode fixed,adaptive
-//   ./build/bench/wallclock --scale 16 --threads 1,4 --engine-mode conservative,optimistic
 //   ./build/bench/wallclock --scale 16 --reorder identity,degree_desc,bfs
 //   ./build/bench/wallclock --scale 16 --storage mem,mmap
 //   ./build/bench/wallclock --scale 16 --trials 3 --check BENCH_wallclock.json
@@ -27,30 +25,17 @@
 // cross-arm attribution belongs to ooc_smoke's per-process phases; the
 // numbers here are honest upper bounds).
 //
-// Per (solver, scale, reorder, threads, window-mode) the harness runs
-// `trials` identical queries on fresh machines and reports best/mean
-// wall seconds, events/sec and tasks/sec (scheduler throughput), plus
-// the simulated-side invariants (sim time, update counts, an FNV-1a
+// Per (solver, scale, reorder, threads) the harness runs `trials`
+// identical queries on fresh machines and reports best/mean wall
+// seconds, events/sec and tasks/sec (scheduler throughput), plus the
+// simulated-side invariants (sim time, update counts, an FNV-1a
 // checksum over the distance bits) that must stay bit-identical across
-// host-side optimizations — including across `--threads` values and
-// across `--window-mode fixed,adaptive`: the parallel engine is
-// required to reproduce the serial schedule exactly in either mode, and
-// the harness exits 4 (naming the diverging field and both values) if
-// any thread count, window mode, or repeat trial diverges.  Host-side
-// engine diagnostics (effective thread count after the min(threads,
-// nodes) clamp, conservative window count, merge count, steals) ride
-// along per entry; adaptive mode's value shows up as a lower window
-// count at equal checksums.
-//
-// --engine-mode conservative,optimistic sweeps the parallel engine's
-// execution discipline the same way --window-mode sweeps its window
-// policy: the optimistic (Time-Warp-lite) arm speculates past the
-// conservative window with checkpoint/rollback, must commit the
-// bit-identical schedule (exit 4 otherwise), and additionally reports
-// its rollback rate (rollbacks / resolved speculative epochs) and
-// speculation efficiency (fraction of speculated events kept rather
-// than rolled back and re-executed) next to the checkpoint-bytes
-// figure.  Conservative always runs first as the diff reference.
+// host-side optimizations — including across `--threads` values: the
+// parallel engine is required to reproduce the serial schedule exactly,
+// and the harness exits 4 (naming the diverging field and both values)
+// if any thread count or repeat trial diverges.  Host-side engine
+// diagnostics (effective thread count after the min(threads, nodes)
+// clamp, window count, merge count) ride along per entry.
 //
 // COST gate (after "COST of Graph Processing Using Actors"): every
 // config additionally reports `speedup_vs_sequential` against the tuned
@@ -111,18 +96,10 @@ struct Sample {
   std::uint64_t cycles = 0;
   std::uint64_t dist_checksum = 0;
   /// Host-side engine diagnostics — reported, never diffed: the thread
-  /// clamp, window policy, engine mode, and steal schedule legitimately
-  /// vary them.
+  /// count legitimately varies them.
   unsigned threads_used = 1;
   std::uint64_t windows = 0;
   std::uint64_t window_merges = 0;
-  std::uint64_t steals = 0;
-  /// Optimistic-engine diagnostics (0 under conservative/serial runs).
-  std::uint64_t spec_rollbacks = 0;
-  std::uint64_t spec_commits = 0;
-  std::uint64_t spec_events = 0;
-  std::uint64_t spec_replayed = 0;
-  std::uint64_t ckpt_bytes = 0;
   /// Distances in *original* labels (inverse-permuted when the run used
   /// a reordered graph) — the cross-mode equality reference.
   std::vector<graph::Dist> dist;
@@ -206,8 +183,6 @@ using bench::die_divergence;
 Sample run_one(const std::string& solver, const stats::ExperimentSpec& spec,
                const graph::Csr& csr, const graph::Remap* remap,
                std::uint32_t trials, unsigned threads,
-               runtime::WindowMode wmode,
-               runtime::EngineMode emode = runtime::EngineMode::kConservative,
                graph::ooc::FrontierFeed* feed = nullptr) {
   Sample sample;
   sample.wall_best_s = 1e300;
@@ -216,9 +191,7 @@ Sample run_one(const std::string& solver, const stats::ExperimentSpec& spec,
   for (std::uint32_t trial = 0; trial < trials; ++trial) {
     runtime::Machine machine(spec.topology());
     machine.set_threads(threads);
-    machine.set_window_mode(wmode);
     sssp::SolverOptions opts;
-    opts.engine_mode = emode;
     opts.storage.frontier_feed = feed;
     const auto start = std::chrono::steady_clock::now();
     sssp::SolverRun run =
@@ -243,12 +216,6 @@ Sample run_one(const std::string& solver, const stats::ExperimentSpec& spec,
     now.threads_used = machine.last_threads_used();
     now.windows = machine.total_windows();
     now.window_merges = machine.total_window_merges();
-    now.steals = machine.total_shard_steals();
-    now.spec_rollbacks = machine.total_speculation_rollbacks();
-    now.spec_commits = machine.total_speculation_commits();
-    now.spec_events = machine.total_speculated_events();
-    now.spec_replayed = machine.total_replayed_events();
-    now.ckpt_bytes = machine.total_checkpoint_bytes();
     std::vector<graph::Dist> dist =
         remap != nullptr ? remap->unmap_distances(run.sssp.dist)
                          : std::move(run.sssp.dist);
@@ -397,54 +364,6 @@ int main(int argc, char** argv) {
     threads_list =
         bench::parse_threads_list(opts.get("threads", ""), "threads");
   }
-  // Window-policy arms for the multi-threaded runs.  1-thread runs use
-  // the serial loop (no windows), so only one arm is emitted for them,
-  // labeled "serial".
-  std::vector<runtime::WindowMode> window_modes;
-  for (const std::string& name :
-       split_csv(opts.get("window-mode", "adaptive"))) {
-    if (name == "fixed") {
-      window_modes.push_back(runtime::WindowMode::kFixed);
-    } else if (name == "adaptive") {
-      window_modes.push_back(runtime::WindowMode::kAdaptive);
-    } else {
-      std::fprintf(stderr, "wallclock: unknown --window-mode '%s'\n",
-                   name.c_str());
-      return 2;
-    }
-  }
-  if (window_modes.empty()) {
-    window_modes.push_back(runtime::WindowMode::kAdaptive);
-  }
-
-  // Engine-discipline arms for the multi-threaded runs, mirroring the
-  // window-mode plumbing.  The serial loop ignores the mode, so
-  // 1-thread runs emit one arm.  Conservative always runs (first) when
-  // optimistic is requested: it is the reference every optimistic arm's
-  // simulated fields are diffed against, and it keeps the regression
-  // gate comparing conservative against conservative.
-  std::vector<runtime::EngineMode> engine_modes;
-  for (const std::string& name :
-       split_csv(opts.get("engine-mode", "conservative"))) {
-    if (name == "conservative") {
-      engine_modes.push_back(runtime::EngineMode::kConservative);
-    } else if (name == "optimistic") {
-      engine_modes.push_back(runtime::EngineMode::kOptimistic);
-    } else {
-      std::fprintf(stderr, "wallclock: unknown --engine-mode '%s'\n",
-                   name.c_str());
-      return 2;
-    }
-  }
-  if (engine_modes.empty()) {
-    engine_modes.push_back(runtime::EngineMode::kConservative);
-  }
-  if (std::find(engine_modes.begin(), engine_modes.end(),
-                runtime::EngineMode::kConservative) == engine_modes.end()) {
-    engine_modes.insert(engine_modes.begin(),
-                        runtime::EngineMode::kConservative);
-  }
-
   // Storage backends.  "mem" is the in-memory Csr the harness always
   // built; "mmap" re-runs identity-reorder configs on a MappedCsr view
   // of the on-disk file, prefetcher attached, diffing every simulated
@@ -550,8 +469,7 @@ int main(int argc, char** argv) {
     for (std::size_t m = 0; m < reorder_modes.size(); ++m) {
       const Sample s =
           run_one("sequential", spec, remaps[m] ? remaps[m]->csr() : csr,
-                  remaps[m].get(), trials, 1,
-                  runtime::WindowMode::kAdaptive);
+                  remaps[m].get(), trials, 1);
       seq_wall[m] = s.wall_best_s;
       if (reorder_modes[m] == graph::ReorderMode::kIdentity) {
         seq_identity_dist = s.dist;
@@ -604,23 +522,9 @@ int main(int argc, char** argv) {
             storage_modes.size() > 1 ? (is_mmap ? "mmap " : "mem  ") : "";
         double wall_1thread = -1.0;
         for (const unsigned threads : threads_list) {
-         for (const runtime::WindowMode wmode : window_modes) {
-          // The serial loop ignores the window policy: emit one arm.
-          if (threads == 1 && wmode != window_modes.front()) continue;
-          const char* wmode_name =
-              threads == 1 ? "serial"
-              : wmode == runtime::WindowMode::kFixed ? "fixed"
-                                                     : "adaptive";
-         for (const runtime::EngineMode emode : engine_modes) {
-          // ... and likewise the engine discipline.
-          if (threads == 1 && emode != engine_modes.front()) continue;
-          const bool optimistic =
-              threads > 1 && emode == runtime::EngineMode::kOptimistic;
-          const char* emode_name = threads == 1 ? "serial"
-                                   : optimistic ? "optimistic"
-                                                : "conservative";
+          const char* engine_name = threads == 1 ? "serial" : "parallel";
           Sample s = run_one(solver, spec, sweep_csr, remap, trials,
-                             threads, wmode, emode, feed.get());
+                             threads, feed.get());
           if (!have_reference) {
             reference = std::move(s);
             have_reference = true;
@@ -647,10 +551,8 @@ int main(int argc, char** argv) {
             if (!diffs.empty()) {
               die_divergence(solver + " reorder=" + mode_name +
                                  " storage=" + storage + " at " +
-                                 std::to_string(threads) + " threads (" +
-                                 wmode_name + ", " + emode_name +
-                                 ") vs first thread count/window mode/"
-                                 "engine mode",
+                                 std::to_string(threads) +
+                                 " threads vs first thread count",
                              diffs);
             }
             // The mmap arm additionally pins elementwise distance
@@ -669,12 +571,6 @@ int main(int argc, char** argv) {
             reference.threads_used = s.threads_used;
             reference.windows = s.windows;
             reference.window_merges = s.window_merges;
-            reference.steals = s.steals;
-            reference.spec_rollbacks = s.spec_rollbacks;
-            reference.spec_commits = s.spec_commits;
-            reference.spec_events = s.spec_events;
-            reference.spec_replayed = s.spec_replayed;
-            reference.ckpt_bytes = s.ckpt_bytes;
           }
           const Sample& cur = reference;
           if (threads == 1) wall_1thread = cur.wall_best_s;
@@ -698,12 +594,7 @@ int main(int argc, char** argv) {
           const double vs_seq = seq_wall[m] / cur.wall_best_s;
           if (first_beats.empty() && solver != "sequential" && !is_mmap &&
               vs_seq > 1.0) {
-            // Optimistic arms compete in emission order like every other
-            // config, so the verdict can legitimately name one.
-            first_beats = solver + " t=" + std::to_string(threads) + " " +
-                          wmode_name +
-                          (threads == 1 ? std::string()
-                                        : " " + std::string(emode_name)) +
+            first_beats = solver + " t=" + std::to_string(threads) +
                           " reorder=" + mode_name;
             first_beats_speedup = vs_seq;
           }
@@ -711,40 +602,15 @@ int main(int argc, char** argv) {
               static_cast<double>(cur.events) / cur.wall_best_s;
           const double tasks_per_sec =
               static_cast<double>(cur.tasks) / cur.wall_best_s;
-          // Rollback rate is over resolved speculative epochs; efficiency
-          // is the fraction of speculated events that were kept (not
-          // discarded by a rollback and re-executed conservatively).
-          const std::uint64_t spec_resolved =
-              cur.spec_rollbacks + cur.spec_commits;
-          const double rollback_rate =
-              spec_resolved > 0
-                  ? static_cast<double>(cur.spec_rollbacks) /
-                        static_cast<double>(spec_resolved)
-                  : 0.0;
-          const double spec_efficiency =
-              cur.spec_events > 0
-                  ? static_cast<double>(cur.spec_events - cur.spec_replayed) /
-                        static_cast<double>(cur.spec_events)
-                  : 0.0;
-          char spec_text[96] = "";
-          if (optimistic) {
-            std::snprintf(spec_text, sizeof(spec_text),
-                          "  rollbacks=%llu/%llu  spec_eff=%.2f",
-                          static_cast<unsigned long long>(cur.spec_rollbacks),
-                          static_cast<unsigned long long>(spec_resolved),
-                          spec_efficiency);
-          }
           std::printf(
-              "  %-20s %s%s%s t=%u(eff %u) %-8s wall=%.3fs (best of %u)  "
+              "  %-20s %s%s t=%u(eff %u) %-8s wall=%.3fs (best of %u)  "
               "%.3gM events/s  speedup=%s  vs_seq=%.2f  windows=%llu  "
-              "sim=%.0fus  checksum=%016" PRIx64 "%s\n",
+              "sim=%.0fus  checksum=%016" PRIx64 "\n",
               solver.c_str(), multi_mode ? mode_name : "", storage_tag,
-              engine_modes.size() > 1 ? (optimistic ? "opt  " : "cons ")
-                                      : "",
-              threads, cur.threads_used, wmode_name, cur.wall_best_s,
+              threads, cur.threads_used, engine_name, cur.wall_best_s,
               trials, events_per_sec * 1e-6, speedup_text, vs_seq,
               static_cast<unsigned long long>(cur.windows),
-              cur.sim_time_us, cur.dist_checksum, spec_text);
+              cur.sim_time_us, cur.dist_checksum);
           std::fflush(stdout);
 
           const bench::ResourceUsage rss = bench::resource_usage();
@@ -752,7 +618,6 @@ int main(int argc, char** argv) {
           std::snprintf(
               entry, sizeof(entry),
               "    {\"solver\": \"%s\", \"scale\": %u, \"threads\": %u, "
-              "\"window_mode\": \"%s\", \"engine_mode\": \"%s\", "
               "\"threads_effective\": %u, "
               "\"reorder\": \"%s\", \"storage\": \"%s\", "
               "\"max_rss_bytes\": %llu, \"major_faults\": %llu, "
@@ -762,14 +627,6 @@ int main(int argc, char** argv) {
               "\"tasks_per_sec\": %.1f, \"speedup_vs_1thread\": %s, "
               "\"speedup_vs_sequential\": %.3f, "
               "\"windows\": %llu, \"window_merges\": %llu, "
-              "\"steals\": %llu, "
-              "\"speculation_rollbacks\": %llu, "
-              "\"speculation_commits\": %llu, "
-              "\"speculated_events\": %llu, "
-              "\"replayed_events\": %llu, "
-              "\"checkpoint_bytes\": %llu, "
-              "\"rollback_rate\": %.4f, "
-              "\"speculation_efficiency\": %.4f, "
               "\"sim_time_us\": %.6f, "
               "\"updates_created\": %llu, \"cycles\": %llu, "
               "\"messages_inter_node\": %llu, "
@@ -779,8 +636,7 @@ int main(int argc, char** argv) {
               "\"messages_intra_process\": %llu, "
               "\"bytes_intra_process\": %llu, "
               "\"dist_checksum\": \"%016" PRIx64 "\"}",
-              solver.c_str(), scale, threads, wmode_name, emode_name,
-              cur.threads_used, mode_name, storage.c_str(),
+              solver.c_str(), scale, threads, cur.threads_used, mode_name, storage.c_str(),
               static_cast<unsigned long long>(rss.max_rss_bytes),
               static_cast<unsigned long long>(rss.major_faults),
               cur.wall_best_s,
@@ -791,13 +647,6 @@ int main(int argc, char** argv) {
               tasks_per_sec, speedup_json, vs_seq,
               static_cast<unsigned long long>(cur.windows),
               static_cast<unsigned long long>(cur.window_merges),
-              static_cast<unsigned long long>(cur.steals),
-              static_cast<unsigned long long>(cur.spec_rollbacks),
-              static_cast<unsigned long long>(cur.spec_commits),
-              static_cast<unsigned long long>(cur.spec_events),
-              static_cast<unsigned long long>(cur.spec_replayed),
-              static_cast<unsigned long long>(cur.ckpt_bytes),
-              rollback_rate, spec_efficiency,
               cur.sim_time_us,
               static_cast<unsigned long long>(cur.updates_created),
               static_cast<unsigned long long>(cur.cycles),
@@ -810,8 +659,6 @@ int main(int argc, char** argv) {
               cur.dist_checksum);
           if (!results.empty()) results += ",\n";
           results += entry;
-         }  // engine modes
-         }  // window modes
         }
         }  // storage arms
         if (multi_mode) {

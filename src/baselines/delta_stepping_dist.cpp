@@ -10,7 +10,6 @@
 #include "src/baselines/sequential.hpp"
 #include "src/graph/ooc_prefetch.hpp"
 #include "src/runtime/collectives.hpp"
-#include "src/runtime/speculation.hpp"
 #include "src/sssp/update.hpp"
 #include "src/tram/tram.hpp"
 #include "src/util/assert.hpp"
@@ -71,7 +70,7 @@ struct PeState {
   bool done = false;
 };
 
-class DeltaEngine : public runtime::Snapshotable {
+class DeltaEngine {
  public:
   DeltaEngine(runtime::Machine& machine, const graph::Csr& csr,
               const graph::Partition1D& partition, VertexId source,
@@ -103,9 +102,6 @@ class DeltaEngine : public runtime::Snapshotable {
 
     build_reducer();
 
-    spec_ckpt_.resize(machine_.topology().nodes);
-    machine_.add_snapshotable(this);
-
     // Seed: the source at distance 0 sits in bucket 0 at its owner.
     const PeId owner = partition_.owner(source_);
     machine_.schedule_at(0.0, owner, [this](Pe& pe) {
@@ -123,68 +119,6 @@ class DeltaEngine : public runtime::Snapshotable {
         execute(pe, DeltaCmd::kLight, 0);
       });
     }
-  }
-
-  ~DeltaEngine() override { machine_.remove_snapshotable(this); }
-
-  // ---- optimistic-engine hooks (runtime::Snapshotable) ------------------
-  // Per-node snapshot: the node's PeStates (distances, bucket lists,
-  // flags, counters) plus — on node 0, where the root PE runs — the
-  // drain history and the schedule controller.  Tram and reducer
-  // snapshot themselves.
-  std::size_t speculative_checkpoint(std::uint32_t n) override {
-    const runtime::Topology& topo = machine_.topology();
-    NodeCkpt& ck = spec_ckpt_[n];
-    ck.pes.clear();
-    std::size_t bytes = 0;
-    for (PeId p = 0; p < machine_.num_pes(); ++p) {
-      if (topo.node_of(p) != n) continue;
-      ck.pes.push_back(pes_[p]);
-      // Estimate: distances + three bit-flags (~1 byte) per vertex, plus
-      // the work lists.
-      bytes += sizeof(PeState) +
-               pes_[p].dist.size() * (sizeof(Dist) + 1) +
-               (pes_[p].settled.size() + pes_[p].dirty.size()) *
-                   sizeof(VertexId);
-      for (const auto& bucket : pes_[p].buckets) {
-        bytes += bucket.size() * sizeof(VertexId);
-      }
-    }
-    if (n == 0) {
-      ck.drained_armed = drained_armed_;
-      ck.last_sent = last_sent_;
-      ck.pending_settled = pending_settled_;
-      ck.controller = controller_;
-    }
-    bytes += tram_->speculative_checkpoint(n);
-    bytes += reducer_->speculative_checkpoint(n);
-    return bytes;
-  }
-
-  void speculative_restore(std::uint32_t n) override {
-    const runtime::Topology& topo = machine_.topology();
-    NodeCkpt& ck = spec_ckpt_[n];
-    std::size_t i = 0;
-    for (PeId p = 0; p < machine_.num_pes(); ++p) {
-      if (topo.node_of(p) != n) continue;
-      pes_[p] = ck.pes[i++];
-    }
-    ACIC_ASSERT(i == ck.pes.size());
-    if (n == 0) {
-      drained_armed_ = ck.drained_armed;
-      last_sent_ = ck.last_sent;
-      pending_settled_ = ck.pending_settled;
-      controller_ = ck.controller;
-    }
-    tram_->speculative_restore(n);
-    reducer_->speculative_restore(n);
-    ck.pes.clear();
-  }
-
-  void speculative_commit(std::uint32_t n) override {
-    tram_->speculative_commit(n);
-    reducer_->speculative_commit(n);
-    spec_ckpt_[n].pes.clear();
   }
 
   DeltaRunResult run(runtime::SimTime time_limit_us) {
@@ -559,17 +493,6 @@ class DeltaEngine : public runtime::Snapshotable {
   bool drained_armed_ = false;
   double last_sent_ = -1.0;
   double pending_settled_ = 0.0;
-
-  /// Optimistic-engine snapshot shard, one per simulated node.
-  struct alignas(64) NodeCkpt {
-    std::vector<PeState> pes;  // the node's PEs, ascending PeId
-    // Root-side state, meaningful on node 0 only.
-    bool drained_armed = false;
-    double last_sent = -1.0;
-    double pending_settled = 0.0;
-    DeltaController controller{false};
-  };
-  std::vector<NodeCkpt> spec_ckpt_;
 };
 
 }  // namespace

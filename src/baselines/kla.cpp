@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "src/runtime/collectives.hpp"
-#include "src/runtime/speculation.hpp"
 #include "src/util/assert.hpp"
 #include "src/util/prefetch.hpp"
 
@@ -57,7 +56,7 @@ struct PeState {
   bool done = false;
 };
 
-class KlaEngine : public runtime::Snapshotable {
+class KlaEngine {
  public:
   KlaEngine(runtime::Machine& machine, const graph::Csr& csr,
             const graph::Partition1D& partition, VertexId source,
@@ -89,9 +88,6 @@ class KlaEngine : public runtime::Snapshotable {
 
     build_reducer();
 
-    spec_ckpt_.resize(machine_.topology().nodes);
-    machine_.add_snapshotable(this);
-
     const PeId owner = partition_.owner(source_);
     machine_.schedule_at(0.0, owner, [this](Pe& pe) {
       PeState& state = pes_[pe.id()];
@@ -107,68 +103,6 @@ class KlaEngine : public runtime::Snapshotable {
         execute(pe, KlaCmd::kWork, k_);
       });
     }
-  }
-
-  ~KlaEngine() override { machine_.remove_snapshotable(this); }
-
-  // ---- optimistic-engine hooks (runtime::Snapshotable) ------------------
-  // Per-node snapshot: the node's PeStates (distances, deferred list,
-  // counters) plus — on node 0, where the root PE runs — the drain
-  // history and the adaptive-k controller scalars.  Tram and reducer
-  // snapshot themselves.
-  std::size_t speculative_checkpoint(std::uint32_t n) override {
-    const runtime::Topology& topo = machine_.topology();
-    NodeCkpt& ck = spec_ckpt_[n];
-    ck.pes.clear();
-    std::size_t bytes = 0;
-    for (PeId p = 0; p < machine_.num_pes(); ++p) {
-      if (topo.node_of(p) != n) continue;
-      ck.pes.push_back(pes_[p]);
-      bytes += sizeof(PeState) +
-               pes_[p].dist.size() * (sizeof(Dist) + 1) +
-               pes_[p].deferred.size() * sizeof(VertexId);
-    }
-    if (n == 0) {
-      ck.k = k_;
-      ck.drained_armed = drained_armed_;
-      ck.last_sent = last_sent_;
-      ck.pending_changed = pending_changed_;
-      ck.prev_changed = prev_changed_;
-      ck.supersteps = supersteps_;
-      ck.peak_k = peak_k_;
-    }
-    bytes += tram_->speculative_checkpoint(n);
-    bytes += reducer_->speculative_checkpoint(n);
-    return bytes;
-  }
-
-  void speculative_restore(std::uint32_t n) override {
-    const runtime::Topology& topo = machine_.topology();
-    NodeCkpt& ck = spec_ckpt_[n];
-    std::size_t i = 0;
-    for (PeId p = 0; p < machine_.num_pes(); ++p) {
-      if (topo.node_of(p) != n) continue;
-      pes_[p] = ck.pes[i++];
-    }
-    ACIC_ASSERT(i == ck.pes.size());
-    if (n == 0) {
-      k_ = ck.k;
-      drained_armed_ = ck.drained_armed;
-      last_sent_ = ck.last_sent;
-      pending_changed_ = ck.pending_changed;
-      prev_changed_ = ck.prev_changed;
-      supersteps_ = ck.supersteps;
-      peak_k_ = ck.peak_k;
-    }
-    tram_->speculative_restore(n);
-    reducer_->speculative_restore(n);
-    ck.pes.clear();
-  }
-
-  void speculative_commit(std::uint32_t n) override {
-    tram_->speculative_commit(n);
-    reducer_->speculative_commit(n);
-    spec_ckpt_[n].pes.clear();
   }
 
   KlaRunResult run(runtime::SimTime time_limit_us) {
@@ -397,20 +331,6 @@ class KlaEngine : public runtime::Snapshotable {
   double prev_changed_ = 0.0;
   std::uint64_t supersteps_ = 0;
   std::uint64_t peak_k_ = 0;
-
-  /// Optimistic-engine snapshot shard, one per simulated node.
-  struct alignas(64) NodeCkpt {
-    std::vector<PeState> pes;  // the node's PEs, ascending PeId
-    // Root-side state, meaningful on node 0 only.
-    std::uint32_t k = 1;
-    bool drained_armed = false;
-    double last_sent = -1.0;
-    double pending_changed = 0.0;
-    double prev_changed = 0.0;
-    std::uint64_t supersteps = 0;
-    std::uint64_t peak_k = 0;
-  };
-  std::vector<NodeCkpt> spec_ckpt_;
 };
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include "src/core/hold.hpp"
 #include "src/graph/ooc_prefetch.hpp"
 #include "src/runtime/collectives.hpp"
-#include "src/runtime/speculation.hpp"
 #include "src/sssp/update.hpp"
 #include "src/tram/tram.hpp"
 #include "src/util/assert.hpp"
@@ -76,7 +75,10 @@ struct UpdateMsgMinOrder {
 /// Per-PE algorithm state.  Only tasks running on the owning PE touch it
 /// (message-passing discipline; the simulation is single-threaded but the
 /// code is written as if each PE were a separate address space).
-struct PeState {
+/// Cache-line aligned: its counters are written on every update, and
+/// under the parallel engine neighbouring PEs can belong to nodes run
+/// by different host threads.
+struct alignas(64) PeState {
   VertexId first = 0;  // owned vertex range [first, last)
   VertexId last = 0;
   std::size_t width = 0;   // last - first, hoisted for lane indexing
@@ -144,7 +146,7 @@ struct StealChunk {
 
 }  // namespace
 
-class AcicEngine::Impl : public runtime::Snapshotable {
+class AcicEngine::Impl {
  public:
   Impl(runtime::Machine& machine, const graph::Csr& csr,
        const graph::Partition1D& partition, VertexId source,
@@ -224,8 +226,6 @@ class AcicEngine::Impl : public runtime::Snapshotable {
 
     node_term_.resize(machine_.topology().nodes);
     pes_per_node_ = machine_.num_pes() / machine_.topology().nodes;
-    spec_ckpt_.resize(machine_.topology().nodes);
-    machine_.add_snapshotable(this);
 
     build_reducer();
 
@@ -300,85 +300,10 @@ class AcicEngine::Impl : public runtime::Snapshotable {
     }
   }
 
-  ~Impl() override {
-    machine_.remove_snapshotable(this);
+  ~Impl() {
     for (PeId p = 0; p < machine_.num_pes(); ++p) {
       machine_.remove_idle_handler(p, idle_handler_ids_[p]);
     }
-  }
-
-  // ---- optimistic-engine hooks (runtime::Snapshotable) ------------------
-  // Snapshot for simulated node `n`: the node's PeStates (distance lanes,
-  // histogram, holds, pq, thresholds, counters), its retirement counter,
-  // the shared steal queues of the node's processes (a process never
-  // spans nodes), and — on node 0, where the root PE lives — the
-  // root-side termination history, the nodes_done count and the
-  // append-only histogram snapshot log (checkpointed by length, truncated
-  // on rollback).  The engine's tram and reducer snapshot themselves.
-  std::size_t speculative_checkpoint(std::uint32_t n) override {
-    const runtime::Topology& topo = machine_.topology();
-    NodeCkpt& ck = spec_ckpt_[n];
-    ck.pes.clear();
-    std::size_t bytes = 0;
-    for (PeId p = 0; p < machine_.num_pes(); ++p) {
-      if (topo.node_of(p) != n) continue;
-      ck.pes.push_back(pes_[p]);
-      bytes += sizeof(PeState) + pes_[p].dist.size() * sizeof(Dist) +
-               (pes_[p].pq.size() + pes_[p].tram_hold.size() +
-                pes_[p].pq_hold.size()) *
-                   sizeof(UpdateMsg) +
-               pes_[p].histogram.counts().size() * sizeof(std::int64_t);
-    }
-    ck.steal_queues.clear();
-    for (std::uint32_t proc = 0; proc < topo.num_procs(); ++proc) {
-      if (topo.node_of(topo.first_pe_of_proc(proc)) != n) continue;
-      ck.steal_queues.push_back(steal_queues_[proc]);
-      bytes += steal_queues_[proc].size() * sizeof(StealChunk);
-    }
-    ck.node_term = node_term_[n].terminated;
-    if (n == 0) {
-      ck.nodes_done = nodes_done_;
-      ck.root_armed = root_armed_;
-      ck.root_last_created = root_last_created_;
-      ck.snapshots_size = snapshots_.size();
-    }
-    bytes += tram_->speculative_checkpoint(n);
-    bytes += reducer_->speculative_checkpoint(n);
-    return bytes;
-  }
-
-  void speculative_restore(std::uint32_t n) override {
-    const runtime::Topology& topo = machine_.topology();
-    NodeCkpt& ck = spec_ckpt_[n];
-    std::size_t i = 0;
-    for (PeId p = 0; p < machine_.num_pes(); ++p) {
-      if (topo.node_of(p) != n) continue;
-      pes_[p] = ck.pes[i++];
-    }
-    ACIC_ASSERT(i == ck.pes.size());
-    i = 0;
-    for (std::uint32_t proc = 0; proc < topo.num_procs(); ++proc) {
-      if (topo.node_of(topo.first_pe_of_proc(proc)) != n) continue;
-      steal_queues_[proc] = ck.steal_queues[i++];
-    }
-    node_term_[n].terminated = ck.node_term;
-    if (n == 0) {
-      nodes_done_ = ck.nodes_done;
-      root_armed_ = ck.root_armed;
-      root_last_created_ = ck.root_last_created;
-      snapshots_.resize(ck.snapshots_size);
-    }
-    tram_->speculative_restore(n);
-    reducer_->speculative_restore(n);
-    ck.pes.clear();
-    ck.steal_queues.clear();
-  }
-
-  void speculative_commit(std::uint32_t n) override {
-    tram_->speculative_commit(n);
-    reducer_->speculative_commit(n);
-    spec_ckpt_[n].pes.clear();
-    spec_ckpt_[n].steal_queues.clear();
   }
 
   bool complete() const {
@@ -959,20 +884,6 @@ class AcicEngine::Impl : public runtime::Snapshotable {
   /// Shared per-process work-stealing queues (shared-memory structures;
   /// pushes/pops charge an atomic-operation cost).
   std::vector<std::deque<StealChunk>> steal_queues_;
-
-  /// Optimistic-engine snapshot shard, one per simulated node (padded so
-  /// concurrently checkpointing shards never share a cache line).
-  struct alignas(64) NodeCkpt {
-    std::vector<PeState> pes;  // the node's PEs, ascending PeId
-    std::vector<std::deque<StealChunk>> steal_queues;  // the node's procs
-    std::uint32_t node_term = 0;
-    // Root-side state, meaningful on node 0 only.
-    std::uint32_t nodes_done = 0;
-    bool root_armed = false;
-    double root_last_created = -1.0;
-    std::size_t snapshots_size = 0;
-  };
-  std::vector<NodeCkpt> spec_ckpt_;
 };
 
 AcicEngine::AcicEngine(runtime::Machine& machine, const graph::Csr& csr,

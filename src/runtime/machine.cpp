@@ -6,33 +6,39 @@
 #include <utility>
 
 #include "src/obs/registry.hpp"
-#include "src/runtime/speculation.hpp"
 #include "src/util/assert.hpp"
 
 namespace acic::runtime {
 
 namespace {
 
+/// Spin-wait hint: lets the sibling hyperthread run and saves power
+/// while a waiter polls the barrier epoch.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
 /// Epoch-based (sense-reversing) spin barrier with a fused completion
-/// step: the last thread to arrive runs `completion` — the per-window
-/// reduction — before releasing the others, so the reduction costs one
-/// O(parties) scan per window total instead of one per thread, and the
-/// min-combine needs no second barrier.  Waiters spin briefly then
-/// yield; on an undersubscribed host (fewer cores than workers, e.g.
-/// the single-core CI container) spinning only steals cycles from the
+/// step: the last thread to arrive runs `completion` — the window plan —
+/// before releasing the others, so planning costs one scan per window
+/// total instead of one per thread, and needs no second barrier.
+/// Waiters spin with a pause hint, then yield; on an undersubscribed
+/// host (fewer cores than workers) spinning only steals cycles from the
 /// thread everyone is waiting on, so the spin budget is zero there.
 ///
 /// Memory ordering: every arriving thread's acq_rel fetch_add on
 /// `arrived_` forms a release sequence read by the last arrival, and
 /// the epoch release-store / acquire-load pair publishes the completion
 /// step's writes — so all pre-barrier writes happen-before all
-/// post-barrier reads, on every thread.  ThreadSanitizer verifies this
-/// chain in CI.
+/// post-barrier reads, on every thread.  This is the parallel engine's
+/// only synchronization; ThreadSanitizer verifies the chain in CI.
+template <typename Fn>
 class SpinBarrier {
  public:
-  template <typename Fn>
-  SpinBarrier(unsigned parties, Fn&& completion)
-      : parties_(parties), completion_(std::forward<Fn>(completion)) {}
+  SpinBarrier(unsigned parties, Fn completion)
+      : parties_(parties), completion_(std::move(completion)) {}
 
   void arrive_and_wait() {
     const std::uint64_t epoch = epoch_.load(std::memory_order_acquire);
@@ -44,26 +50,36 @@ class SpinBarrier {
     }
     int spins = spin_budget_;
     while (epoch_.load(std::memory_order_acquire) == epoch) {
-      if (spins-- <= 0) std::this_thread::yield();
+      if (spins-- > 0) {
+        cpu_relax();
+      } else {
+        std::this_thread::yield();
+      }
     }
   }
 
  private:
   const unsigned parties_;
-  const std::function<void()> completion_;
+  Fn completion_;
   const int spin_budget_ =
       std::thread::hardware_concurrency() >= parties_ ? 256 : 0;
   std::atomic<std::uint32_t> arrived_{0};
   std::atomic<std::uint64_t> epoch_{0};
 };
 
+/// Eight times on one cache line, so a shard's per-destination mail
+/// minima never share a line with another shard's.
+struct alignas(64) TimeLine {
+  SimTime t[8];
+};
+
 }  // namespace
 
 /// A cross-node arrival buffered in its sending shard's outbox until the
-/// window barrier.  Carries the seq the sender already assigned, so the
+/// next window.  Carries the seq the sender already assigned, so the
 /// receiving heap's comparator alone decides the merge order —
-/// (timestamp, src node, per-node sequence), independent of which host
-/// thread drained which mailbox first.
+/// (timestamp, src node, per-node sequence), independent of the order
+/// in which the receiver drains its sources.
 struct Machine::Mail {
   SimTime time;
   std::uint64_t seq;
@@ -73,120 +89,56 @@ struct Machine::Mail {
 };
 
 /// One simulated node's slice of the event loop during a parallel run:
-/// its own 4-ary heap, slot store, outgoing mailboxes and stat deltas.
-/// Within a window a shard is touched only by the host thread that
-/// claimed it (home thread or stealer — exactly one per window), except
-/// for `outbox[d]`, which the thread merging shard d drains strictly
-/// after the window barrier.
+/// its own 4-ary heap, outgoing mailboxes and stat deltas.  Between two
+/// barriers a shard is touched only by the host thread that owns it,
+/// except that the owner of node d drains (and re-arms) the *previous*
+/// window's `outbox[p][d]` / `mail_min[p]` entries while this shard
+/// writes the other parity.
 struct alignas(64) Machine::Shard {
   std::uint32_t node = 0;
   util::DaryHeap<Event, EventOrder> heap;
-  std::vector<Task> slots;
-  std::vector<std::uint32_t> free_slots;
-  /// outbox[d]: arrivals destined to node d, merged at the barrier.
+  /// outbox[p][d]: arrivals for node d buffered in a window of parity p.
   /// Boxes keep their capacity across windows and runs (ParallelState
   /// persists them), so steady-state merges never reallocate.
-  std::vector<std::vector<Mail>> outbox;
+  std::vector<std::vector<Mail>> outbox[2];
+  /// mail_min[p]: earliest arrival time in each outbox[p][d]
+  /// (kNoTimeLimit when empty), eight destinations per line.
+  std::vector<TimeLine> mail_min[2];
+  /// Parity of the window this shard is executing (selects the outbox).
+  unsigned parity = 0;
   /// Max event time processed on this shard — the shard-local mirror of
   /// current_time_ (identical inside a task: the executing PE's clock
   /// is always >= the current event's time on both paths).
   SimTime now = 0.0;
-  /// Exclusive end of this shard's current window.  Fixed mode: global
-  /// min + lookahead for every shard.  Adaptive mode: min over OTHER
-  /// shards' minima + lookahead, and shrunk on the fly when this shard
-  /// buffers a cross-node send (a reaction to mail arriving at A cannot
-  /// land back here before A + lookahead).
+  /// Exclusive end of this shard's current window: the smallest other
+  /// shard's effective minimum + lookahead, shrunk on the fly when this
+  /// shard buffers a cross-node send (a reaction to mail arriving at A
+  /// cannot land back here before A + lookahead).
   SimTime window_limit = 0.0;
   /// Floor other shards' windows rely on: no cross-node event created
-  /// by this shard may land before (this shard's window-start heap
-  /// minimum) + lookahead.  Sends satisfy it by the network model;
+  /// by this shard may land before (its effective minimum at the window
+  /// start) + lookahead.  Sends satisfy it by the network model;
   /// cross-node schedule_at inside it is a causality bug (asserted).
   SimTime cross_floor = 0.0;
-  /// Inter-node latency and window mode, copied per run so the send
-  /// hot path never reaches back into the Machine.
+  /// Inter-node latency, copied per run so the send hot path never
+  /// reaches back into the Machine.
   SimTime lookahead = 0.0;
-  bool adaptive = false;
-  /// Set when this shard buffered cross-node mail in the current
-  /// window; ORed into the shared merge flag after the shard drains.
-  bool sent_mail = false;
+  /// Heap minimum after this shard's window, read by the plan.
+  SimTime heap_min = kNoTimeLimit;
+  /// Effective minimum E = min(heap_min, earliest mail addressed here),
+  /// written by the plan.
+  SimTime next_min = kNoTimeLimit;
   RunStats stats;
   std::int64_t ready_delta = 0;  // folded into ready_tasks_ after the run
 
-  // --- Optimistic mode (EngineMode::kOptimistic) --------------------
-  // One speculative epoch at a time: opened at the end of a window's
-  // conservative execution, resolved (commit or rollback) at the very
-  // next window.  See docs/performance.md, "Optimistic engine".
-  /// Entities of this simulated node (their scheduler state is part of
-  /// the checkpoint).
-  std::vector<PeId> members;
-  /// True while the claim loop is executing events speculatively —
-  /// routes handle_exec to the clone path and sends to spec_outbox.
-  bool spec_active = false;
-  /// True while an epoch awaits resolution at the next barrier.
-  bool speculating = false;
-  /// Exclusive end of the speculation horizon, shrunk on the fly by
-  /// the shard's own held sends (a reaction to held mail arriving at A
-  /// cannot land back here before A + lookahead).
-  SimTime spec_limit = 0.0;
-  /// Key of the last (largest) speculatively executed event; mail
-  /// merging below it is a straggler.
-  Event spec_last{};
-  /// Heap minimum at checkpoint time — the conservative value the next
-  /// window's plan must see, since the speculatively drained heap no
-  /// longer holds it.
-  SimTime spec_base_min = kNoTimeLimit;
-  std::uint64_t spec_epoch_events = 0;  // events in the pending epoch
-  /// Cross-node sends made during the epoch, promoted to `outbox` on
-  /// commit, discarded on rollback (the replay regenerates them with
-  /// identical keys).
-  std::vector<std::vector<Mail>> spec_outbox;
-  /// Mail merged at the barrier while the epoch was pending (already
-  /// checked not to undercut spec_last): parked here instead of the
-  /// heap so a rollback can restore the heap wholesale; joins the heap
-  /// at resolution either way.
-  std::vector<Mail> pending_mail;
-  /// Slots of tasks executed speculatively: the parked original stays
-  /// in place for replay (handle_exec ran a clone); freed on commit.
-  std::vector<std::uint32_t> spec_freed;
-  /// Slots acquired during the epoch: nulled on rollback before the
-  /// free-list snapshot is restored.
-  std::vector<std::uint32_t> spec_acquired;
-
-  // Checkpoint of shard-local machine state.  Full copies, not
-  // journals: everything here is per-node and windows are short, so a
-  // copy (whose backing stores persist across epochs) beats journaling
-  // complexity.
-  util::DaryHeap<Event, EventOrder> ckpt_heap;
-  std::vector<std::uint32_t> ckpt_free_slots;
-  std::size_t ckpt_slots_size = 0;
-  std::uint64_t ckpt_node_seq = 0;
-  SimTime ckpt_now = 0.0;
-  RunStats ckpt_stats;
-  std::int64_t ckpt_ready_delta = 0;
-  struct PeCheckpoint {
-    Pe::TaskRing fifo;
-    SimTime avail_time;
-    SimTime current_time;
-    bool exec_scheduled;
-    std::size_t idle_cursor;
-    SimTime busy_us;
-    std::uint64_t tasks_run;
-  };
-  std::vector<PeCheckpoint> ckpt_pes;  // parallel to `members`
-
-  // Host-side diagnostics, deliberately OUTSIDE the checkpoint: a
-  // rollback must not erase the record that it happened.
-  std::uint64_t spec_rollbacks = 0;
-  std::uint64_t spec_commits = 0;
-  std::uint64_t spec_events = 0;
-  std::uint64_t spec_replayed = 0;
-  std::uint64_t spec_ckpt_bytes = 0;
-  std::vector<std::pair<double, double>> gvt_lag;  // (floor time, lag)
+  SimTime& mail_min_for(unsigned p, std::uint32_t dest) {
+    return mail_min[p][dest / 8].t[dest % 8];
+  }
 };
 
-/// Parallel-run scratch that outlives a single run(): shard heaps, slot
-/// stores and mailboxes keep their capacity, so a serving workload that
-/// calls run() per query batch stops paying setup/regrow per call.
+/// Parallel-run scratch that outlives a single run(): shard heaps and
+/// mailboxes keep their capacity, so a serving workload that calls run()
+/// per query batch stops paying setup/regrow per call.
 struct Machine::ParallelState {
   std::vector<Shard> shards;
 };
@@ -221,12 +173,15 @@ Machine::Machine(Topology topology, NetworkModel network)
   const std::size_t hint =
       std::max<std::size_t>(1024, 4 * topology_.num_entities());
   queue_.reserve(hint);
-  task_slots_.reserve(hint);
-  free_slots_.reserve(hint);
+  slots_.resize(topology_.nodes);
+  for (SlotStore& store : slots_) {
+    store.tasks.reserve(hint / topology_.nodes);
+    store.free.reserve(hint / topology_.nodes);
+  }
 }
 
 // Parked tasks (arrivals never executed because run() hit its time limit)
-// are destroyed with task_slots_.
+// are destroyed with slots_.
 Machine::~Machine() = default;
 
 void Machine::set_registry(obs::Registry* registry) {
@@ -289,9 +244,6 @@ IdleHandlerId Machine::add_idle_handler(PeId pe, IdleHandler handler) {
   ACIC_ASSERT_MSG(!pes_[pe].idle_polling_,
                   "cannot register an idle handler from inside an idle "
                   "poll on the same PE");
-  ACIC_ASSERT_MSG(tls_shard_ == nullptr || !tls_shard_->spec_active,
-                  "idle-handler registration is not checkpointed; it "
-                  "cannot happen during speculative execution");
   const IdleHandlerId id = next_idle_handler_id_++;
   pes_[pe].idle_handlers_.push_back(Pe::IdleEntry{id, std::move(handler)});
   // If the PE is already asleep, poke it so the new handler gets a chance
@@ -306,9 +258,6 @@ void Machine::remove_idle_handler(PeId pe, IdleHandlerId id) {
   ACIC_ASSERT_MSG(!pes_[pe].idle_polling_,
                   "cannot deregister an idle handler from inside an idle "
                   "poll on the same PE");
-  ACIC_ASSERT_MSG(tls_shard_ == nullptr || !tls_shard_->spec_active,
-                  "idle-handler deregistration is not checkpointed; it "
-                  "cannot happen during speculative execution");
   auto& handlers = pes_[pe].idle_handlers_;
   for (std::size_t i = 0; i < handlers.size(); ++i) {
     if (handlers[i].id == id) {
@@ -331,63 +280,25 @@ void Machine::set_speed_factor(PeId pe, double factor) {
   pes_[pe].speed_factor_ = factor;
 }
 
-void Machine::add_snapshotable(Snapshotable* hook) {
-  ACIC_ASSERT(hook != nullptr);
-  snapshotables_.push_back(hook);
-}
-
-void Machine::remove_snapshotable(Snapshotable* hook) {
-  for (std::size_t i = 0; i < snapshotables_.size(); ++i) {
-    if (snapshotables_[i] == hook) {
-      snapshotables_.erase(snapshotables_.begin() +
-                           static_cast<std::ptrdiff_t>(i));
-      return;
-    }
-  }
-  ACIC_ASSERT_MSG(false, "snapshotable hook not registered");
-}
-
-void Machine::publish_speculation(obs::Registry& registry) const {
-  const auto add = [&](const char* name, std::uint64_t value) {
-    registry.add(registry.counter(name), /*entity=*/0, value,
-                 current_time_);
-  };
-  add("parallel/speculation_rollbacks", speculation_rollbacks_);
-  add("parallel/speculation_commits", speculation_commits_);
-  add("parallel/speculation_events", speculated_events_);
-  add("parallel/speculation_replayed_events", replayed_events_);
-  add("parallel/speculation_checkpoint_bytes", checkpoint_bytes_);
-  const auto sid = registry.series("parallel/speculation_gvt_lag");
-  for (const auto& [floor_time, lag] : gvt_lag_log_) {
-    registry.append(sid, floor_time, lag);
-  }
-}
-
-std::uint32_t Machine::acquire_slot(Task task) {
-  Shard* const sh = tls_shard_;
-  std::vector<Task>& slots = sh != nullptr ? sh->slots : task_slots_;
-  std::vector<std::uint32_t>& free_list =
-      sh != nullptr ? sh->free_slots : free_slots_;
-  if (!free_list.empty()) {
-    const std::uint32_t slot = free_list.back();
-    free_list.pop_back();
-    slots[slot] = std::move(task);
-    if (sh != nullptr && sh->spec_active) sh->spec_acquired.push_back(slot);
+std::uint32_t Machine::acquire_slot(std::uint32_t node, Task task) {
+  SlotStore& store = slots_[node];
+  if (!store.free.empty()) {
+    const std::uint32_t slot = store.free.back();
+    store.free.pop_back();
+    store.tasks[slot] = std::move(task);
     return slot;
   }
-  const std::uint32_t slot = static_cast<std::uint32_t>(slots.size());
+  const std::uint32_t slot = static_cast<std::uint32_t>(store.tasks.size());
   ACIC_ASSERT_MSG(slot < kNoSlot, "task slot store exceeded 2^30 entries");
-  slots.push_back(std::move(task));
-  if (sh != nullptr && sh->spec_active) sh->spec_acquired.push_back(slot);
+  store.tasks.push_back(std::move(task));
   return slot;
 }
 
-Task Machine::release_slot(std::uint32_t slot) {
-  Shard* const sh = tls_shard_;
-  std::vector<Task>& slots = sh != nullptr ? sh->slots : task_slots_;
-  Task task = std::move(slots[slot]);
-  slots[slot] = nullptr;
-  (sh != nullptr ? sh->free_slots : free_slots_).push_back(slot);
+Task Machine::release_slot(std::uint32_t node, std::uint32_t slot) {
+  SlotStore& store = slots_[node];
+  Task task = std::move(store.tasks[slot]);
+  store.tasks[slot] = nullptr;
+  store.free.push_back(slot);
   return task;
 }
 
@@ -413,51 +324,39 @@ void Machine::flush_ready_sample() {
 
 void Machine::push_arrival(SimTime time, PeId pe, Task task,
                            bool charge_recv) {
+  const std::uint32_t dest = entity_node_[pe];
   Shard* const sh = tls_shard_;
   if (sh != nullptr) {
-    const std::uint32_t dest = entity_node_[pe];
     const std::uint64_t seq = next_seq(sh->node);
     if (dest == sh->node) {
-      const std::uint32_t slot = acquire_slot(std::move(task));
+      const std::uint32_t slot = acquire_slot(dest, std::move(task));
       sh->heap.push(Event{time, seq, pe,
                           charge_recv ? (kRecvBit | slot) : slot});
-    } else {
-      // Conservative lookahead: a cross-node arrival must land at or
-      // after the floor other shards' windows were computed against.
-      // Sends always satisfy this (inter-node transfer time >= the
-      // lookahead, and the departure is at or after this shard's
-      // window-start minimum); a cross-node schedule_at below it would
-      // be a causality violation.
-      ACIC_ASSERT_MSG(time >= sh->cross_floor,
-                      "cross-node event scheduled inside the conservative "
-                      "window (use a send, or run with --threads 1)");
-      if (sh->spec_active) {
-        // Speculative sends are held back: they reach the real outbox
-        // only if the epoch commits (a rollback's replay regenerates
-        // them with identical keys).  Shrinking the horizon to the
-        // earliest possible reaction keeps the epoch committable.
-        sh->spec_outbox[dest].push_back(
-            Mail{time, seq, pe, charge_recv, std::move(task)});
-        const SimTime feedback = time + sh->lookahead;
-        if (feedback < sh->spec_limit) sh->spec_limit = feedback;
-        return;
-      }
-      sh->outbox[dest].push_back(
-          Mail{time, seq, pe, charge_recv, std::move(task)});
-      sh->sent_mail = true;
-      if (sh->adaptive) {
-        // Feedback bound: a reaction to this mail cannot arrive here
-        // before its delivery plus one more inter-node hop.  Always at
-        // or ahead of the execution point (arrival >= event time +
-        // lookahead), so the shrink never invalidates executed events.
-        const SimTime feedback = time + sh->lookahead;
-        if (feedback < sh->window_limit) sh->window_limit = feedback;
-      }
+      return;
     }
+    // Conservative lookahead: a cross-node arrival must land at or after
+    // the floor other shards' windows were computed against.  Sends
+    // always satisfy this (inter-node transfer time >= the lookahead,
+    // and the departure is at or after this shard's window-start
+    // minimum); a cross-node schedule_at below it would be a causality
+    // violation.
+    ACIC_ASSERT_MSG(time >= sh->cross_floor,
+                    "cross-node event scheduled inside the conservative "
+                    "window (use a send, or run with --threads 1)");
+    sh->outbox[sh->parity][dest].push_back(
+        Mail{time, seq, pe, charge_recv, std::move(task)});
+    SimTime& first = sh->mail_min_for(sh->parity, dest);
+    if (time < first) first = time;
+    // Feedback bound: a reaction to this mail cannot arrive here before
+    // its delivery plus one more inter-node hop.  Always at or ahead of
+    // the execution point (arrival >= event time + lookahead), so the
+    // shrink never invalidates executed events.
+    const SimTime feedback = time + sh->lookahead;
+    if (feedback < sh->window_limit) sh->window_limit = feedback;
     return;
   }
-  const std::uint32_t node = running_ ? current_node_ : entity_node_[pe];
-  const std::uint32_t slot = acquire_slot(std::move(task));
+  const std::uint32_t node = running_ ? current_node_ : dest;
+  const std::uint32_t slot = acquire_slot(dest, std::move(task));
   queue_.push(Event{time, next_seq(node), pe,
                     charge_recv ? (kRecvBit | slot) : slot});
 }
@@ -505,18 +404,7 @@ void Machine::handle_exec(const Event& event) {
     const std::uint32_t queued = pe.fifo_.pop_front();
     // Move the task out of its slot before running it: the task may
     // enqueue new arrivals, which can grow (reallocate) the slot store.
-    // Under speculation, run a *clone* and keep the parked original for
-    // replay; its slot is logged and freed only if the epoch commits
-    // (the claim loop guarantees the task is clonable before letting
-    // the event pop speculatively).
-    Task task;
-    if (sh != nullptr && sh->spec_active) {
-      const std::uint32_t slot = queued & kSlotMask;
-      task = sh->slots[slot].clone();
-      sh->spec_freed.push_back(slot);
-    } else {
-      task = release_slot(queued & kSlotMask);
-    }
+    Task task = release_slot(entity_node_[event.pe], queued & kSlotMask);
     ++pe.tasks_run_;
     if (sh != nullptr) {
       --sh->ready_delta;
@@ -629,114 +517,81 @@ RunStats Machine::run_parallel(SimTime time_limit) {
   // inter-node wire latency (transfer_time = latency + bytes/bandwidth),
   // so no shard can be affected by another sooner than that.
   const SimTime lookahead = network_.latency_inter_node_us;
-  const bool adaptive = window_mode_ == WindowMode::kAdaptive;
   last_threads_used_ = nthreads;
 
   if (par_ == nullptr) par_ = std::make_unique<ParallelState>();
   std::vector<Shard>& shards = par_->shards;
   if (shards.size() != nodes) {
+    TimeLine none;
+    std::fill(std::begin(none.t), std::end(none.t), kNoTimeLimit);
     shards.clear();
     shards.resize(nodes);
     for (std::uint32_t n = 0; n < nodes; ++n) {
       shards[n].node = n;
-      shards[n].outbox.resize(nodes);
-      shards[n].spec_outbox.resize(nodes);
-    }
-    for (PeId p = 0; p < num_entities(); ++p) {
-      shards[entity_node_[p]].members.push_back(p);
+      for (unsigned p = 0; p < 2; ++p) {
+        shards[n].outbox[p].resize(nodes);
+        shards[n].mail_min[p].assign((nodes + 7) / 8, none);
+      }
     }
   }
-  // Optimistic mode engages only when every registered Snapshotable
-  // supports it (and at least one is registered: a raw machine with no
-  // hooks has unknown application state and must stay conservative).
-  bool spec_enabled =
-      engine_mode_ == EngineMode::kOptimistic && !snapshotables_.empty();
-  for (Snapshotable* hook : snapshotables_) {
-    if (!hook->speculation_supported()) spec_enabled = false;
-  }
-  // Speculation horizon past the conservative limit.  A few lookaheads
-  // bounds both the wasted work a rollback can discard and the lifetime
-  // of a checkpoint (one window); the own-send shrink in push_arrival
-  // tightens it further.
-  const SimTime spec_horizon = 3.0 * lookahead;
-  for (std::uint32_t n = 0; n < nodes; ++n) {
-    Shard& sh = shards[n];
+  for (Shard& sh : shards) {
     sh.now = current_time_;
     sh.lookahead = lookahead;
-    sh.adaptive = adaptive;
-    sh.sent_mail = false;
     sh.stats = RunStats{};
     sh.ready_delta = 0;
-    sh.spec_active = false;
-    sh.speculating = false;
-    sh.spec_rollbacks = 0;
-    sh.spec_commits = 0;
-    sh.spec_events = 0;
-    sh.spec_replayed = 0;
-    sh.spec_ckpt_bytes = 0;
-    sh.gvt_lag.clear();
   }
-  // Redistribute the global heap into the per-node shards, migrating
-  // parked tasks into each shard's own slot store.  Insertion order is
+  // Parks buffered mail's task in its destination node's store and
+  // returns the arrival event that references it.
+  const auto park = [this](std::uint32_t node, Mail& m) {
+    const std::uint32_t slot = acquire_slot(node, std::move(m.task));
+    return Event{m.time, m.seq, m.pe, m.charge_recv ? (kRecvBit | slot) : slot};
+  };
+  // Hand the global heap's events to their nodes' shards; the parked
+  // tasks already sit in per-node slot stores.  Insertion order is
   // irrelevant: the comparator is a total order, so every heap pops the
   // same sequence regardless of how it was filled.
   while (!queue_.empty()) {
     const Event e = queue_.top();
     queue_.pop();
-    Shard& sh = shards[entity_node_[e.pe]];
-    if (e.is_exec()) {
-      sh.heap.push(e);
-      continue;
-    }
-    Task task = release_slot(e.slot());
-    tls_shard_ = &sh;
-    const std::uint32_t slot = acquire_slot(std::move(task));
-    tls_shard_ = nullptr;
-    sh.heap.push(Event{e.time, e.seq, e.pe, (e.packed & kRecvBit) | slot});
+    shards[entity_node_[e.pe]].heap.push(e);
   }
 
-  // --- Shared window-scheduling state -------------------------------
-  // Per-shard heap minima at the window boundary, written by the thread
-  // that merged/scanned the shard in phase A, reduced once by the
-  // barrier's completion step.
-  struct alignas(64) PaddedTime {
-    SimTime v = kNoTimeLimit;
-  };
-  std::vector<PaddedTime> shard_min(nodes);
-  // The window plan every thread reads after the reduction barrier.
+  // The window plan, written by the barrier's completion step and read
+  // by every thread after it.
   struct Plan {
-    SimTime min1 = kNoTimeLimit;  // global earliest event time
-    SimTime min2 = kNoTimeLimit;  // earliest on any shard != node1
+    SimTime min1 = kNoTimeLimit;  // smallest effective minimum
+    SimTime min2 = kNoTimeLimit;  // smallest on any shard != node1
     std::uint32_t node1 = 0;      // shard holding min1 (lowest id on ties)
-    bool run = false;             // execute a window this round?
-    bool merge = false;           // did the previous window buffer mail?
+    unsigned parity = 1;          // parity of the latest planned window
+    bool run = false;             // execute another window?
     bool hit_limit = false;
   } plan;
   std::uint64_t windows = 0;
   std::uint64_t window_merges = 0;
-  // Phase-A claim cursor (merge + minima scan, one claimant per shard).
-  std::atomic<std::uint32_t> scan_cursor{0};
-  // Phase-B claim cursors: thread t owns shards [range[t], range[t+1]);
-  // a thread drains its own range first, then steals from the others.
-  struct alignas(64) Cursor {
-    std::atomic<std::uint32_t> pos{0};
-  };
-  std::vector<Cursor> claim(nthreads);
-  std::vector<std::uint32_t> range(nthreads + 1);
-  for (unsigned t = 0; t <= nthreads; ++t) range[t] = t * nodes / nthreads;
-  std::atomic<bool> mail_flag{false};
-  std::vector<std::uint64_t> steal_counts(nthreads, 0);
 
-  // Runs on the last thread into the reduction barrier: one O(nodes)
-  // scan decides the window for everyone (min1/min2 with the arg-min
-  // shard, ties to the lowest node id — deterministic, though results
-  // never depend on it) and re-arms the phase-B claim cursors.
-  SpinBarrier window_barrier(nthreads, [&] {
+  // Runs on the last thread into the barrier.  Shard d's effective
+  // minimum E_d is its heap minimum lowered by the earliest mail
+  // addressed to it in the window that just ended — exactly its heap
+  // minimum once that mail is merged.  The next window follows from the
+  // E values (min1/min2 with the arg-min shard, ties to the lowest node
+  // id — deterministic, though results never depend on it).
+  SpinBarrier barrier(nthreads, [&] {
+    for (Shard& sh : shards) sh.next_min = sh.heap_min;
+    bool mail = false;
+    for (Shard& src : shards) {
+      for (std::uint32_t d = 0; d < nodes; ++d) {
+        const SimTime first = src.mail_min_for(plan.parity, d);
+        if (first == kNoTimeLimit) continue;
+        mail = true;
+        shards[d].next_min = std::min(shards[d].next_min, first);
+      }
+    }
+    if (mail) ++window_merges;
     SimTime min1 = kNoTimeLimit;
     SimTime min2 = kNoTimeLimit;
     std::uint32_t node1 = 0;
     for (std::uint32_t n = 0; n < nodes; ++n) {
-      const SimTime v = shard_min[n].v;
+      const SimTime v = shards[n].next_min;
       if (v < min1) {
         min2 = min1;
         min1 = v;
@@ -750,346 +605,68 @@ RunStats Machine::run_parallel(SimTime time_limit) {
     plan.node1 = node1;
     plan.run = min1 != kNoTimeLimit && min1 <= time_limit;
     if (min1 != kNoTimeLimit && min1 > time_limit) plan.hit_limit = true;
-    if (plan.run) ++windows;
-    for (unsigned t = 0; t < nthreads; ++t) {
-      claim[t].pos.store(range[t], std::memory_order_relaxed);
+    if (plan.run) {
+      ++windows;
+      plan.parity ^= 1;
     }
   });
-  // Runs on the last thread out of a window: capture whether any shard
-  // buffered cross-node mail (windows without any skip the merge scan
-  // entirely) and re-arm the phase-A cursor.
-  SpinBarrier drain_barrier(nthreads, [&] {
-    plan.merge = mail_flag.exchange(false, std::memory_order_relaxed);
-    if (plan.merge) ++window_merges;
-    scan_cursor.store(0, std::memory_order_relaxed);
-  });
-
-  // --- Optimistic-mode helpers --------------------------------------
-  // All of these run on the thread that currently owns the shard
-  // (phase-A merger or phase-B claimant — exclusive either way), so
-  // they touch only shard-local state, the shard's node's PEs, and
-  // that node's slice of the Snapshotable hooks.
-
-  // Is `(time, seq)` ordered before event `e`?  The straggler test:
-  // mail keyed below the speculative execution point invalidates the
-  // epoch.
-  const auto key_below = [](SimTime time, std::uint64_t seq,
-                            const Event& e) {
-    return time < e.time || (time == e.time && seq < e.seq);
-  };
-
-  // Can `top` be executed speculatively?  An exec event about to pop a
-  // non-clonable task cannot (no replay copy would survive a
-  // rollback) — it ends the epoch instead.
-  const auto spec_blocked = [&](const Shard& sh, const Event& top) {
-    if (!top.is_exec()) return false;
-    const Pe& pe = pes_[top.pe];
-    if (pe.fifo_.empty()) return false;
-    return !sh.slots[pe.fifo_.front() & kSlotMask].clonable();
-  };
-
-  const auto take_checkpoint = [&](Shard& sh) {
-    sh.ckpt_heap = sh.heap;  // copy-assign: reuses ckpt capacity
-    sh.ckpt_free_slots = sh.free_slots;
-    sh.ckpt_slots_size = sh.slots.size();
-    sh.ckpt_node_seq = node_seq_[sh.node].next;
-    sh.ckpt_now = sh.now;
-    sh.ckpt_stats = sh.stats;
-    sh.ckpt_ready_delta = sh.ready_delta;
-    sh.ckpt_pes.clear();
-    std::size_t bytes = sh.heap.size() * sizeof(Event) +
-                        sh.free_slots.size() * sizeof(std::uint32_t) +
-                        sizeof(Shard);
-    for (const PeId p : sh.members) {
-      Pe& pe = pes_[p];
-      sh.ckpt_pes.push_back(Shard::PeCheckpoint{
-          pe.fifo_, pe.avail_time_, pe.current_time_, pe.exec_scheduled_,
-          pe.idle_cursor_, pe.busy_us_, pe.tasks_run_});
-      bytes += sizeof(Shard::PeCheckpoint);
-    }
-    for (Snapshotable* hook : snapshotables_) {
-      bytes += hook->speculative_checkpoint(sh.node);
-    }
-    sh.spec_ckpt_bytes += bytes;
-  };
-
-  // Rolls the shard back to its checkpoint and closes the epoch.  Any
-  // mail parked in pending_mail joins the restored heap (caller must
-  // have tls_shard_ == &sh so the slots land in the shard's store).
-  const auto rollback = [&](Shard& sh) {
-    std::swap(sh.heap, sh.ckpt_heap);  // swap + clear keeps both capacities
-    sh.ckpt_heap.clear();
-    for (const std::uint32_t slot : sh.spec_acquired) {
-      sh.slots[slot] = nullptr;
-    }
-    sh.slots.resize(sh.ckpt_slots_size);
-    sh.free_slots = sh.ckpt_free_slots;
-    node_seq_[sh.node].next = sh.ckpt_node_seq;
-    sh.now = sh.ckpt_now;
-    sh.stats = sh.ckpt_stats;
-    sh.ready_delta = sh.ckpt_ready_delta;
-    for (std::size_t i = 0; i < sh.members.size(); ++i) {
-      Pe& pe = pes_[sh.members[i]];
-      Shard::PeCheckpoint& ck = sh.ckpt_pes[i];
-      pe.fifo_ = std::move(ck.fifo);
-      pe.avail_time_ = ck.avail_time;
-      pe.current_time_ = ck.current_time;
-      pe.exec_scheduled_ = ck.exec_scheduled;
-      pe.idle_cursor_ = ck.idle_cursor;
-      pe.busy_us_ = ck.busy_us;
-      pe.tasks_run_ = ck.tasks_run;
-    }
-    sh.ckpt_pes.clear();
-    for (Snapshotable* hook : snapshotables_) {
-      hook->speculative_restore(sh.node);
-    }
-    for (std::vector<Mail>& box : sh.spec_outbox) box.clear();
-    for (Mail& m : sh.pending_mail) {
-      const std::uint32_t slot = acquire_slot(std::move(m.task));
-      sh.heap.push(Event{m.time, m.seq, m.pe,
-                         m.charge_recv ? (kRecvBit | slot) : slot});
-    }
-    sh.pending_mail.clear();
-    sh.spec_freed.clear();
-    sh.spec_acquired.clear();
-    sh.speculating = false;
-    ++sh.spec_rollbacks;
-    sh.spec_replayed += sh.spec_epoch_events;
-  };
-
-  // Confirms the epoch: held sends are promoted to the real outbox,
-  // parked mail joins the heap, the slots of committed tasks are
-  // freed, and the hooks drop their snapshots.  (caller holds
-  // tls_shard_ == &sh.)
-  const auto commit = [&](Shard& sh) {
-    for (std::uint32_t dest = 0; dest < nodes; ++dest) {
-      std::vector<Mail>& box = sh.spec_outbox[dest];
-      if (box.empty()) continue;
-      for (Mail& m : box) sh.outbox[dest].push_back(std::move(m));
-      box.clear();
-      sh.sent_mail = true;
-    }
-    for (Mail& m : sh.pending_mail) {
-      const std::uint32_t slot = acquire_slot(std::move(m.task));
-      sh.heap.push(Event{m.time, m.seq, m.pe,
-                         m.charge_recv ? (kRecvBit | slot) : slot});
-    }
-    sh.pending_mail.clear();
-    for (const std::uint32_t slot : sh.spec_freed) {
-      sh.slots[slot] = nullptr;
-      sh.free_slots.push_back(slot);
-    }
-    sh.spec_freed.clear();
-    sh.spec_acquired.clear();
-    for (Snapshotable* hook : snapshotables_) {
-      hook->speculative_commit(sh.node);
-    }
-    sh.ckpt_pes.clear();
-    sh.ckpt_heap.clear();
-    sh.speculating = false;
-    ++sh.spec_commits;
-  };
-
-  // Opens a speculative epoch at the end of a window's conservative
-  // execution: checkpoint, then keep draining the heap past the window
-  // limit.  (caller holds tls_shard_ == &sh; window_limit is the
-  // window just executed.)
-  const auto open_epoch = [&](Shard& sh) {
-    if (sh.heap.empty()) return;
-    sh.spec_limit = sh.window_limit + spec_horizon;
-    const Event& first = sh.heap.top();
-    if (first.time >= sh.spec_limit || first.time > time_limit ||
-        spec_blocked(sh, first)) {
-      return;
-    }
-    sh.spec_base_min = first.time;
-    take_checkpoint(sh);
-    sh.spec_active = true;
-    std::uint64_t nspec = 0;
-    while (!sh.heap.empty()) {
-      const Event& top = sh.heap.top();
-      if (top.time >= sh.spec_limit || top.time > time_limit) break;
-      if (spec_blocked(sh, top)) break;
-      const Event e = top;
-      sh.heap.pop();
-      ++sh.stats.events_processed;
-      sh.now = std::max(sh.now, e.time);
-      if (e.is_exec()) {
-        handle_exec(e);
-      } else {
-        handle_arrival(e);
-      }
-      sh.spec_last = e;
-      ++nspec;
-    }
-    sh.spec_active = false;
-    ACIC_ASSERT_MSG(nspec > 0,
-                    "epoch guard admitted an event the loop rejected");
-    sh.speculating = true;
-    sh.spec_epoch_events = nspec;
-    sh.spec_events += nspec;
-  };
 
   auto worker = [&](unsigned tid) {
-    std::uint64_t steals = 0;
-    for (;;) {
-      // Phase A: merge the previous window's mail (skipped when none
-      // was sent) and publish each shard's heap minimum.  Shards are
-      // claimed through a shared cursor; the composite seq keys make
-      // the merge order automatic regardless of who drains what.
-      for (;;) {
-        const std::uint32_t d =
-            scan_cursor.fetch_add(1, std::memory_order_relaxed);
-        if (d >= nodes) break;
-        Shard& dst = shards[d];
-        if (dst.speculating && plan.merge) {
-          // Straggler scan: any merged key below the speculative
-          // execution point invalidates the epoch — roll back here,
-          // then merge normally into the restored heap.
-          bool straggler = false;
-          for (std::uint32_t src = 0; src < nodes && !straggler; ++src) {
-            for (const Mail& m : shards[src].outbox[d]) {
-              if (key_below(m.time, m.seq, dst.spec_last)) {
-                straggler = true;
-                break;
-              }
-            }
-          }
-          if (straggler) {
-            tls_shard_ = &dst;
-            rollback(dst);
-            tls_shard_ = nullptr;
-          }
-        }
-        if (plan.merge) {
-          tls_shard_ = &dst;
-          for (std::uint32_t src = 0; src < nodes; ++src) {
-            std::vector<Mail>& box = shards[src].outbox[d];
-            for (Mail& mail : box) {
-              if (dst.speculating) {
-                // Epoch survives: park the mail (keyed above
-                // spec_last) so a later rollback can restore the heap
-                // wholesale; it joins the heap at resolution.
-                dst.pending_mail.push_back(std::move(mail));
-                continue;
-              }
-              const std::uint32_t slot = acquire_slot(std::move(mail.task));
-              dst.heap.push(Event{mail.time, mail.seq, mail.pe,
-                                  mail.charge_recv ? (kRecvBit | slot)
-                                                   : slot});
-            }
-            box.clear();  // keeps capacity: boxes never regrow in steady state
-          }
-          tls_shard_ = nullptr;
-        }
-        if (dst.speculating) {
-          // Publish the conservative minimum, exactly what this heap
-          // would hold had it not speculated: its checkpoint-time
-          // minimum, lowered by any parked mail.  Other shards' window
-          // limits rely on this (a send reacting to parked mail can
-          // depart as early as that mail's arrival).
-          SimTime pub = dst.spec_base_min;
-          for (const Mail& m : dst.pending_mail) {
-            pub = std::min(pub, m.time);
-          }
-          shard_min[d].v = pub;
-        } else {
-          shard_min[d].v =
-              dst.heap.empty() ? kNoTimeLimit : dst.heap.top().time;
-        }
-      }
-      window_barrier.arrive_and_wait();
-      // Every thread reads the same plan, so all break together;
-      // mailboxes are empty here (drained in phase A).
-      if (!plan.run) break;
-
-      // Phase B: claim and execute shards — own range first, then steal
-      // from whichever thread still has unclaimed shards.  Ownership
-      // migration cannot change results: a shard's event order is fully
-      // determined by its heap's (time, seq) keys, and exactly one
-      // thread runs a given shard per window.
-      for (unsigned v = 0; v < nthreads; ++v) {
-        const unsigned owner = (tid + v) % nthreads;
-        const std::uint32_t owner_hi = range[owner + 1];
-        for (;;) {
-          if (claim[owner].pos.load(std::memory_order_relaxed) >= owner_hi) {
-            break;
-          }
-          const std::uint32_t s =
-              claim[owner].pos.fetch_add(1, std::memory_order_relaxed);
-          if (s >= owner_hi) break;
-          Shard& sh = shards[s];
-          // A shard with a pending epoch must be claimed even when its
-          // heap ran dry (the speculation may have drained it): the
-          // epoch is resolved here.
-          if (sh.heap.empty() && !sh.speculating) continue;
-          if (owner != tid) ++steals;
-          // Fixed window: every shard stops at min1 + lookahead.
-          // Adaptive: shard d stops at (min over OTHER shards) +
-          // lookahead — for everyone but the arg-min shard that equals
-          // the fixed bound; the arg-min shard runs on to min2 +
-          // lookahead.  Safe because no other shard can inject an event
-          // below its own minimum + lookahead, and cascades through
-          // this shard's own sends are cut off by the feedback shrink
-          // in push_arrival.
-          sh.window_limit = adaptive && s == plan.node1
-                                ? plan.min2 + lookahead
-                                : plan.min1 + lookahead;
-          sh.cross_floor = shard_min[s].v + lookahead;
-          tls_shard_ = &sh;
-          if (sh.speculating) {
-            // Resolve the pending epoch against this window's
-            // conservative limit — the GVT-lite floor the fused
-            // barrier reduction just computed.  In adaptive mode the
-            // limit is first tightened by the earliest reaction each
-            // held send could provoke, exactly the shrink a live send
-            // would have applied.  Commit if the limit covers every
-            // speculated event (they then form a prefix of this
-            // window's conservative schedule); otherwise roll back and
-            // let this window replay them.
-            SimTime limit = sh.window_limit;
-            if (adaptive) {
-              for (const std::vector<Mail>& box : sh.spec_outbox) {
-                for (const Mail& m : box) {
-                  limit = std::min(limit, m.time + lookahead);
-                }
-              }
-            }
-            if (sh.gvt_lag.size() < 1024) {
-              sh.gvt_lag.emplace_back(plan.min1,
-                                      sh.spec_last.time - plan.min1);
-            }
-            if (sh.spec_last.time < limit) {
-              commit(sh);
-              sh.window_limit = limit;
-            } else {
-              rollback(sh);
-            }
-          }
-          while (!sh.heap.empty()) {
-            const Event& top = sh.heap.top();
-            if (top.time >= sh.window_limit || top.time > time_limit) break;
-            const Event e = top;
-            sh.heap.pop();
-            ++sh.stats.events_processed;
-            sh.now = std::max(sh.now, e.time);
-            if (e.is_exec()) {
-              handle_exec(e);
-            } else {
-              handle_arrival(e);
-            }
-          }
-          if (spec_enabled) open_epoch(sh);
-          tls_shard_ = nullptr;
-          if (sh.sent_mail) {
-            sh.sent_mail = false;
-            mail_flag.store(true, std::memory_order_relaxed);
-          }
-        }
-      }
-      drain_barrier.arrive_and_wait();
+    // Thread tid owns shards [lo, hi) for the whole run.
+    const std::uint32_t lo = tid * nodes / nthreads;
+    const std::uint32_t hi = (tid + 1) * nodes / nthreads;
+    for (std::uint32_t d = lo; d < hi; ++d) {
+      Shard& sh = shards[d];
+      sh.heap_min = sh.heap.empty() ? kNoTimeLimit : sh.heap.top().time;
     }
-    steal_counts[tid] = steals;
+    barrier.arrive_and_wait();
+    // Every thread reads the same plan, so all leave together.
+    while (plan.run) {
+      const unsigned out = plan.parity;
+      const unsigned in = out ^ 1;
+      for (std::uint32_t d = lo; d < hi; ++d) {
+        Shard& sh = shards[d];
+        // Merge the previous window's mail for d, skipping sources that
+        // sent none, and re-arm each drained source's minimum for its
+        // next window of that parity.  The senders are meanwhile
+        // writing the other parity.
+        for (Shard& src : shards) {
+          SimTime& first = src.mail_min_for(in, d);
+          if (first == kNoTimeLimit) continue;
+          first = kNoTimeLimit;
+          std::vector<Mail>& box = src.outbox[in][d];
+          for (Mail& m : box) sh.heap.push(park(d, m));
+          box.clear();  // keeps capacity: boxes never regrow in steady state
+        }
+        // Shard d stops at (smallest E over OTHER shards) + lookahead:
+        // for everyone but the arg-min shard that is min1 + lookahead;
+        // the arg-min shard runs on to min2 + lookahead.  Safe because
+        // no other shard can inject an event below its own E +
+        // lookahead, and cascades through this shard's own sends are
+        // cut off by the feedback shrink in push_arrival.
+        sh.window_limit =
+            (d == plan.node1 ? plan.min2 : plan.min1) + lookahead;
+        sh.cross_floor = sh.next_min + lookahead;
+        sh.parity = out;
+        tls_shard_ = &sh;
+        while (!sh.heap.empty()) {
+          const Event& top = sh.heap.top();
+          if (top.time >= sh.window_limit || top.time > time_limit) break;
+          const Event e = top;
+          sh.heap.pop();
+          ++sh.stats.events_processed;
+          sh.now = std::max(sh.now, e.time);
+          if (e.is_exec()) {
+            handle_exec(e);
+          } else {
+            handle_arrival(e);
+          }
+        }
+        tls_shard_ = nullptr;
+        sh.heap_min = sh.heap.empty() ? kNoTimeLimit : sh.heap.top().time;
+      }
+      barrier.arrive_and_wait();
+    }
   };
 
   std::vector<std::thread> pool;
@@ -1100,34 +677,16 @@ RunStats Machine::run_parallel(SimTime time_limit) {
   worker(0);
   for (std::thread& t : pool) t.join();
 
-  // Fold shard deltas back into the machine and merge unprocessed
-  // events (a hit time limit) back into the global queue.
+  // Fold shard deltas back into the machine, and hand unprocessed events
+  // and undelivered mail (a hit time limit) back to the global queue.
   RunStats stats;
   stats.hit_time_limit = plan.hit_limit;
   stats.threads_used = nthreads;
   stats.windows = windows;
   stats.window_merges = window_merges;
-  for (unsigned t = 0; t < nthreads; ++t) {
-    stats.shard_steals += steal_counts[t];
-  }
   windows_ += windows;
   window_merges_ += window_merges;
-  shard_steals_ += stats.shard_steals;
   for (Shard& sh : shards) {
-    // A pending epoch always resolves at the next window (a
-    // speculating shard publishes a finite minimum at or below the
-    // time limit, so the plan keeps running until it is resolved).
-    ACIC_ASSERT_MSG(!sh.speculating,
-                    "speculative epoch left unresolved at run end");
-    stats.speculation_rollbacks += sh.spec_rollbacks;
-    stats.speculation_commits += sh.spec_commits;
-    stats.speculated_events += sh.spec_events;
-    stats.replayed_events += sh.spec_replayed;
-    stats.checkpoint_bytes += sh.spec_ckpt_bytes;
-    for (const auto& entry : sh.gvt_lag) {
-      if (gvt_lag_log_.size() < 8192) gvt_lag_log_.push_back(entry);
-    }
-    sh.gvt_lag.clear();
     stats.tasks_executed += sh.stats.tasks_executed;
     stats.idle_polls += sh.stats.idle_polls;
     stats.messages_sent += sh.stats.messages_sent;
@@ -1140,27 +699,17 @@ RunStats Machine::run_parallel(SimTime time_limit) {
         static_cast<std::int64_t>(ready_tasks_) + sh.ready_delta);
     current_time_ = std::max(current_time_, sh.now);
     while (!sh.heap.empty()) {
-      const Event e = sh.heap.top();
+      queue_.push(sh.heap.top());
       sh.heap.pop();
-      if (e.is_exec()) {
-        queue_.push(e);
-        continue;
-      }
-      Task task = std::move(sh.slots[e.slot()]);
-      const std::uint32_t slot = acquire_slot(std::move(task));
-      queue_.push(
-          Event{e.time, e.seq, e.pe, (e.packed & kRecvBit) | slot});
     }
-    // Every parked task has been moved out (heap drained); dropping the
-    // bookkeeping keeps the capacity for the next run.
-    sh.slots.clear();
-    sh.free_slots.clear();
+    for (unsigned p = 0; p < 2; ++p) {
+      for (std::uint32_t d = 0; d < nodes; ++d) {
+        for (Mail& m : sh.outbox[p][d]) queue_.push(park(d, m));
+        sh.outbox[p][d].clear();
+        sh.mail_min_for(p, d) = kNoTimeLimit;
+      }
+    }
   }
-  speculation_rollbacks_ += stats.speculation_rollbacks;
-  speculation_commits_ += stats.speculation_commits;
-  speculated_events_ += stats.speculated_events;
-  replayed_events_ += stats.replayed_events;
-  checkpoint_bytes_ += stats.checkpoint_bytes;
   stats.end_time_us = current_time_;
   return stats;
 }

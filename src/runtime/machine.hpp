@@ -18,8 +18,8 @@
 // Tasks are `runtime::Task` (src/runtime/task.hpp): move-only with
 // inline capture storage, so scheduling a message allocates nothing for
 // typical closures.  The event heap holds 24-byte POD `Event`s ordered
-// in a 4-ary heap; an arrival's task is parked in a slot store
-// (`task_slots_` + free list) and referenced by index, so heap sift
+// in a 4-ary heap; an arrival's task is parked in a per-node slot store
+// (`slots_` + free list) and referenced by index, so heap sift
 // operations move plain integers, never closures.  Receive overhead is
 // charged by a flag bit on the queued-task word instead of a wrapping
 // closure, and per-PE run queues are power-of-two rings of those words.
@@ -37,29 +37,34 @@
 //
 // Parallel execution (docs/performance.md, "Parallel engine")
 // -----------------------------------------------------------
-// set_threads(N) with N > 1 runs the event loop with one shard (heap +
-// slot store) per simulated node, advanced in barrier-synchronized
-// conservative time windows: no message crosses nodes faster than the
-// inter-node wire latency, so within a window each shard can execute
-// its own node's events independently.  Cross-node sends buffer into
-// per-(src,dst) mailboxes merged at the window barrier; because events
-// order by the composite key above, the merged interleaving is
-// bit-identical to the serial engine's at any thread count.
-//
-// The window width is governed by set_window_mode().  kFixed stops
-// every shard at (global minimum event time) + latency_inter_node_us.
-// kAdaptive (the default) widens per shard: shard d may run to
-// (earliest event time on any OTHER shard) + latency, shrunk on the fly
-// to (earliest cross-node arrival d itself buffered this window) +
-// latency — both bounds are provably conservative (see
-// docs/performance.md for the argument), so sparse cross-node traffic
-// yields windows of hundreds of events instead of one latency sliver.
-// Shards are claimed by worker threads through per-thread cursors with
-// work stealing; ownership migration cannot perturb results because a
-// shard's event order is fixed by the (time, node, seq) keys alone.
+// set_threads(N) with N > 1 runs the event loop with one shard (event
+// heap) per simulated node, advanced in conservative time windows: no
+// message crosses nodes faster than the inter-node wire latency L, so
+// within a window each shard can execute its own node's events
+// independently.  Host thread t owns the fixed shard range
+// [t*nodes/N, (t+1)*nodes/N) for the whole run, and each window costs
+// one barrier:
+//   * Cross-node sends buffer into double-buffered per-(src,dst)
+//     outboxes (window k writes parity k % 2) and record the earliest
+//     arrival per destination.  At the start of window k+1 the owner of
+//     each destination merges the previous parity's mail into its heap
+//     while the senders already write the other parity.  Events order
+//     by the composite key above, so the merged interleaving is
+//     bit-identical to the serial engine's at any thread count.
+//   * The barrier's completion step plans the next window from each
+//     shard's effective minimum E_d = min(heap minimum, earliest mail
+//     addressed to d): the arg-min shard may run to the second-smallest
+//     E + L, every other shard to the smallest E + L, and a shard that
+//     buffers mail arriving at A shrinks its own limit to A + L on the
+//     spot.  Both bounds are provably conservative (see
+//     docs/performance.md for the argument), so sparse cross-node
+//     traffic yields windows of hundreds of events instead of one
+//     latency sliver.
 // Runs fall back to the serial loop when a registry or span hook is
 // attached (observation streams are inherently ordered), on single-node
 // topologies, or when the network model has no inter-node lookahead.
+// Arrival tasks park in their destination node's slot store on both
+// loops, so a run stopped at a time limit may resume on either loop.
 //
 // Ownership discipline (per the HPC guides: message passing, no shared
 // mutable state): a task scheduled on PE p may mutate only state owned by
@@ -103,50 +108,12 @@ using IdleHandlerId = std::uint64_t;
 inline constexpr SimTime kNoTimeLimit =
     std::numeric_limits<SimTime>::infinity();
 
-/// Window policy for the parallel engine (serial runs ignore it).
-enum class WindowMode {
-  /// Every window is exactly latency_inter_node_us wide — the original
-  /// conservative schedule.
-  kFixed,
-  /// Per-shard widening to the earliest possible cross-node arrival
-  /// (other shards' minima + latency, tightened by the shard's own
-  /// buffered sends).  Bit-identical to kFixed; strictly fewer windows.
-  kAdaptive,
-};
-
-/// Execution discipline for the parallel engine (serial runs ignore it;
-/// the serial path is byte-unchanged by the mode).
-enum class EngineMode {
-  /// Shards stop hard at the conservative window limit — the schedule
-  /// every other mode is measured against.
-  kConservative,
-  /// Time-Warp-lite: after finishing its conservative window a shard
-  /// checkpoints its local state (event heap + slot store, PE
-  /// schedulers, seq counter, plus solver state via registered
-  /// Snapshotable hooks) and keeps executing past the window limit up
-  /// to a speculation horizon, holding cross-node sends back.  At the
-  /// next barrier the speculation either commits (no message landed
-  /// below the speculative execution point, and the new conservative
-  /// window limit covers it) or rolls back to the checkpoint and
-  /// replays conservatively.  The committed schedule is bit-identical
-  /// to kConservative — checksums, sim times, and all simulated
-  /// RunStats fields match; only the host-side diagnostics
-  /// (speculation_* fields) differ.  Speculation engages only when at
-  /// least one Snapshotable is registered and all registered hooks
-  /// support it; otherwise the run silently downgrades to the
-  /// conservative schedule.
-  kOptimistic,
-};
-
-class Snapshotable;  // src/runtime/speculation.hpp
-
 /// Aggregate statistics for one run() invocation.
 ///
 /// The first block is simulated-side and bit-identical across thread
-/// counts and window modes.  The fields after `hit_time_limit` are
-/// host-side engine diagnostics: they describe how the host executed
-/// the schedule, not the schedule itself, and legitimately vary with
-/// set_threads / set_window_mode (steals additionally vary run to run).
+/// counts.  The fields after `hit_time_limit` are host-side engine
+/// diagnostics: they describe how the host executed the schedule, not
+/// the schedule itself, and legitimately vary with set_threads.
 struct RunStats {
   SimTime end_time_us = 0.0;
   std::uint64_t tasks_executed = 0;
@@ -164,31 +131,16 @@ struct RunStats {
   unsigned threads_used = 1;
   /// Conservative windows executed (0 under the serial loop).
   std::uint64_t windows = 0;
-  /// Windows whose barrier had cross-node mail to merge; the rest
-  /// skipped the merge phase entirely.
+  /// Windows that buffered cross-node mail (merged into the receiving
+  /// shards at the start of the next window).
   std::uint64_t window_merges = 0;
-  /// Shards executed by a thread other than their home thread.
-  std::uint64_t shard_steals = 0;
-  /// Optimistic-engine diagnostics (all 0 under kConservative and on
-  /// the serial path).  Host-side only, like the fields above: the
-  /// committed schedule never depends on how much was speculated.
-  /// Speculative epochs that rolled back.
-  std::uint64_t speculation_rollbacks = 0;
-  /// Speculative epochs that committed.
-  std::uint64_t speculation_commits = 0;
-  /// Events executed past the conservative window limit (committed or
-  /// not).
-  std::uint64_t speculated_events = 0;
-  /// Speculated events discarded by a rollback (re-executed later by
-  /// the conservative schedule) — wasted work.
-  std::uint64_t replayed_events = 0;
-  /// Bytes copied into shard checkpoints (estimate: heap + slot
-  /// bookkeeping + PE scheduler state + Snapshotable hook reports).
-  std::uint64_t checkpoint_bytes = 0;
 };
 
 /// Per-PE execution context handed to every task and idle handler.
-class Pe {
+/// Cache-line aligned: every charge writes the PE's clock and busy
+/// total, and under the parallel engine neighbouring PEs can belong to
+/// nodes run by different host threads.
+class alignas(64) Pe {
  public:
   PeId id() const { return id_; }
   Machine& machine() { return *machine_; }
@@ -229,10 +181,6 @@ class Pe {
   class TaskRing {
    public:
     bool empty() const noexcept { return count_ == 0; }
-    /// Next word pop_front would return (the optimistic engine peeks
-    /// the queued task to decide whether it can be executed
-    /// speculatively).  Requires !empty().
-    std::uint32_t front() const noexcept { return buf_[head_]; }
     void push_back(std::uint32_t v) {
       if (count_ == buf_.size()) grow();
       buf_[(head_ + count_) & (buf_.size() - 1)] = v;
@@ -342,58 +290,15 @@ class Machine {
   }
   unsigned threads() const { return threads_; }
 
-  /// Window policy for parallel runs (see WindowMode).  Both modes are
-  /// bit-identical; kAdaptive (the default) executes fewer, wider
-  /// windows.  Must not be called while run() is executing.
-  void set_window_mode(WindowMode mode) { window_mode_ = mode; }
-  WindowMode window_mode() const { return window_mode_; }
-
-  /// Execution discipline for parallel runs (see EngineMode).  Both
-  /// modes commit the identical schedule; kOptimistic may execute past
-  /// the conservative window and roll back on stragglers.  Must not be
-  /// called while run() is executing.
-  void set_engine_mode(EngineMode mode) { engine_mode_ = mode; }
-  EngineMode engine_mode() const { return engine_mode_; }
-
-  /// Registers application state with the optimistic engine: `hook`
-  /// will be asked to checkpoint/restore/commit per-node state around
-  /// speculative epochs (src/runtime/speculation.hpp).  Speculation
-  /// only engages when at least one hook is registered and every
-  /// registered hook reports speculation_supported(); a raw machine
-  /// with no hooks, or any unsupported hook, runs the conservative
-  /// schedule even under kOptimistic.  The hook must outlive the
-  /// machine or be removed first.  Must not be called while run() is
-  /// executing.
-  void add_snapshotable(Snapshotable* hook);
-  /// Deregisters a hook; asserts if it is not registered.
-  void remove_snapshotable(Snapshotable* hook);
-
   /// Host-side engine diagnostics accumulated across run() calls (the
-  /// per-run values live in RunStats).  Windows/merges are deterministic
-  /// for a given (schedule, threads, mode); steals depend on host
-  /// timing.
+  /// per-run values live in RunStats).  Windows and merges are
+  /// deterministic for a given (schedule, threads).
   std::uint64_t total_windows() const { return windows_; }
   std::uint64_t total_window_merges() const { return window_merges_; }
-  std::uint64_t total_shard_steals() const { return shard_steals_; }
-  std::uint64_t total_speculation_rollbacks() const {
-    return speculation_rollbacks_;
-  }
-  std::uint64_t total_speculation_commits() const {
-    return speculation_commits_;
-  }
-  std::uint64_t total_speculated_events() const { return speculated_events_; }
-  std::uint64_t total_replayed_events() const { return replayed_events_; }
-  std::uint64_t total_checkpoint_bytes() const { return checkpoint_bytes_; }
-
-  /// Publishes the speculation diagnostics accumulated so far into
-  /// `registry` as `parallel/speculation_*` counters plus a
-  /// `parallel/speculation_gvt_lag` series (how far past the global
-  /// virtual-time floor each resolved epoch had speculated, stamped at
-  /// the floor's sim time).  Called after run(): parallel runs cannot
-  /// have a registry attached (run() falls back to the serial loop
-  /// when one is), so speculation counters are exported post-hoc
-  /// rather than live.
-  void publish_speculation(obs::Registry& registry) const;
+  /// Always 0: each host thread runs a fixed range of shards, so no
+  /// shard ever moves to another thread.  Kept because the benchmark
+  /// driver reports it as `runtime.steals`.
+  std::uint64_t total_shard_steals() const { return 0; }
 
   /// Effective worker count of the most recent run() (clamped to the
   /// node count; 1 for serial runs).
@@ -459,7 +364,7 @@ class Machine {
     SimTime time;
     std::uint64_t seq;
     PeId pe;
-    std::uint32_t packed;  // kExecBit | kRecvBit | slot (task_slots_ index)
+    std::uint32_t packed;  // kExecBit | kRecvBit | slot (slots_[node] index)
 
     bool is_exec() const { return (packed & kExecBit) != 0; }
     bool charge_recv() const { return (packed & kRecvBit) != 0; }
@@ -473,16 +378,16 @@ class Machine {
     }
   };
 
-  /// One event-loop shard (heap + slot store + outgoing mailboxes +
-  /// run-stat deltas) per simulated node.  Defined in machine.cpp.
+  /// One event-loop shard (heap + outgoing mailboxes + run-stat
+  /// deltas) per simulated node.  Defined in machine.cpp.
   struct Shard;
-  /// Persistent parallel-run scratch (the shards and their mailbox /
-  /// slot-store capacities), reused across run() calls so steady-state
-  /// serving workloads never reallocate per window or per run.
+  /// Persistent parallel-run scratch (the shards and their mailbox
+  /// capacities), reused across run() calls so steady-state serving
+  /// workloads never reallocate per window or per run.
   struct ParallelState;
-  /// A cross-node arrival buffered until the window barrier.  The seq
-  /// was already assigned by the *sending* shard, so merge order is
-  /// decided by the heap comparator alone.
+  /// A cross-node arrival buffered until the next window.  The seq was
+  /// already assigned by the *sending* shard, so merge order is decided
+  /// by the heap comparator alone.
   struct Mail;
 
   /// Composite event key: creating node in the top 16 bits, that node's
@@ -500,8 +405,10 @@ class Machine {
 
   RunStats run_parallel(SimTime time_limit);
 
-  std::uint32_t acquire_slot(Task task);
-  Task release_slot(std::uint32_t slot);
+  /// Parks `task` in `node`'s slot store (the node of the PE that will
+  /// run it) and returns its index.
+  std::uint32_t acquire_slot(std::uint32_t node, Task task);
+  Task release_slot(std::uint32_t node, std::uint32_t slot);
 
   /// Records the ready-depth series sample for `time`, coalescing all
   /// same-timestamp changes into the final value (flushed when the
@@ -513,10 +420,16 @@ class Machine {
   NetworkModel network_;
   std::vector<Pe> pes_;
   util::DaryHeap<Event, EventOrder> queue_;
-  /// Parked arrival tasks, indexed by Event::slot; free_slots_ recycles
-  /// indices LIFO.
-  std::vector<Task> task_slots_;
-  std::vector<std::uint32_t> free_slots_;
+  /// Parked arrival tasks, one store per simulated node, indexed by
+  /// Event::slot; `free` recycles indices LIFO.  Both loops park a task
+  /// in its destination node's store, so the slot words queued in PE
+  /// FIFOs stay valid when a run stopped at a time limit resumes on the
+  /// other loop, and parallel shards never share a store.
+  struct alignas(64) SlotStore {
+    std::vector<Task> tasks;
+    std::vector<std::uint32_t> free;
+  };
+  std::vector<SlotStore> slots_;
   /// entity id -> simulated node, precomputed (node_of costs two integer
   /// divisions; this table is hit once or more per event).
   std::vector<std::uint32_t> entity_node_;
@@ -532,13 +445,9 @@ class Machine {
   std::uint32_t current_node_ = 0;
   bool running_ = false;  // inside the serial run() loop
   unsigned threads_ = 1;
-  WindowMode window_mode_ = WindowMode::kAdaptive;
-  EngineMode engine_mode_ = EngineMode::kConservative;
-  /// Application state registered for optimistic checkpointing.
-  std::vector<Snapshotable*> snapshotables_;
   std::unique_ptr<ParallelState> par_;  // lazily built by run_parallel
   /// The shard the calling host thread is executing (null outside
-  /// parallel run()); routes pushes/slot ops/stat updates to shard-local
+  /// parallel run()); routes pushes and stat updates to shard-local
   /// state.
   static thread_local Shard* tls_shard_;
   IdleHandlerId next_idle_handler_id_ = 1;
@@ -550,15 +459,6 @@ class Machine {
   std::uint64_t events_processed_ = 0;
   std::uint64_t windows_ = 0;
   std::uint64_t window_merges_ = 0;
-  std::uint64_t shard_steals_ = 0;
-  std::uint64_t speculation_rollbacks_ = 0;
-  std::uint64_t speculation_commits_ = 0;
-  std::uint64_t speculated_events_ = 0;
-  std::uint64_t replayed_events_ = 0;
-  std::uint64_t checkpoint_bytes_ = 0;
-  /// (GVT floor sim time, speculation lag) per resolved epoch, bounded
-  /// (oldest kept); feeds the parallel/speculation_gvt_lag series.
-  std::vector<std::pair<double, double>> gvt_lag_log_;
   unsigned last_threads_used_ = 1;
   std::uint64_t ready_tasks_ = 0;  // tasks waiting in PE fifos
   RunStats* active_stats_ = nullptr;

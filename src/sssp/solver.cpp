@@ -178,13 +178,14 @@ SolverRun run_sequential(runtime::Machine& /*machine*/,
 struct RegistryEntry {
   std::string name;
   SolverFn fn;
+  bool built_in = false;  // registered by the library; never removable
 };
 
 std::vector<RegistryEntry>& solver_registry() {
   static std::vector<RegistryEntry> entries = [] {
     std::vector<RegistryEntry> built_ins;
     auto add = [&built_ins](const char* name, SolverFn fn) {
-      built_ins.push_back(RegistryEntry{name, std::move(fn)});
+      built_ins.push_back(RegistryEntry{name, std::move(fn), true});
     };
     add("acic", run_acic);
     add("delta_stepping_dist",
@@ -243,6 +244,17 @@ void register_solver(const std::string& name, SolverFn fn) {
   solver_registry().push_back(RegistryEntry{name, std::move(fn)});
 }
 
+bool unregister_solver(const std::string& name) {
+  std::vector<RegistryEntry>& entries = solver_registry();
+  for (auto it = entries.begin(); it != entries.end(); ++it) {
+    if (it->name != name) continue;
+    ACIC_ASSERT_MSG(!it->built_in, "built-in solvers cannot be unregistered");
+    entries.erase(it);
+    return true;
+  }
+  return false;
+}
+
 SolverRun run_solver(const std::string& name, runtime::Machine& machine,
                      const graph::Csr& csr, graph::VertexId source,
                      const SolverOptions& opts) {
@@ -261,10 +273,7 @@ SolverRun run_solver(const std::string& name, runtime::Machine& machine,
   for (const RegistryEntry& entry : solver_registry()) {
     if (entry.name != name) continue;
     if (opts.registry != nullptr) machine.set_registry(opts.registry);
-    const runtime::EngineMode previous_mode = machine.engine_mode();
-    machine.set_engine_mode(opts.engine_mode);
     SolverRun run = entry.fn(machine, csr, source, opts);
-    machine.set_engine_mode(previous_mode);
     run.telemetry.solver = name;
     run.telemetry.busy_imbalance = imbalance(run.telemetry.pe_busy_us);
     return run;

@@ -218,52 +218,6 @@ class Tram {
   }
   const TramConfig& config() const { return config_; }
 
-  // --- Optimistic-engine hooks (called via the engines' Snapshotable
-  // registrations; the tram does not register itself).  The snapshot for
-  // simulated node `n` covers exactly the state node-`n` tasks mutate:
-  // the buffer sets owned by node-`n` PEs/processes (a buffer set is
-  // written only by its owner, and a process never spans nodes) and the
-  // node's TramStats shard.  Batch pools and fan-out scratch are
-  // memory-only recycling state — a rollback may leave an extra drained
-  // vector parked, which changes no observable behavior — so they are
-  // deliberately not snapshotted.
-  std::size_t speculative_checkpoint(std::uint32_t n) {
-    NodeLocal& nl = node_[n];
-    const std::size_t owned = owned_buffer_count(n);
-    if (nl.ckpt_buffers.size() != owned) nl.ckpt_buffers.resize(owned);
-    std::size_t bytes = sizeof(TramStats);
-    std::size_t i = 0;
-    const std::size_t sets = buffers_.size() / dests_;
-    for (std::size_t set = 0; set < sets; ++set) {
-      if (set_node(set) != n) continue;
-      for (std::size_t dest = 0; dest < dests_; ++dest) {
-        nl.ckpt_buffers[i] = buffers_[set * dests_ + dest].items;
-        bytes += nl.ckpt_buffers[i].size() * sizeof(Entry);
-        ++i;
-      }
-    }
-    nl.ckpt_stats = nl.stats;
-    return bytes;
-  }
-  void speculative_restore(std::uint32_t n) {
-    NodeLocal& nl = node_[n];
-    std::size_t i = 0;
-    const std::size_t sets = buffers_.size() / dests_;
-    for (std::size_t set = 0; set < sets; ++set) {
-      if (set_node(set) != n) continue;
-      for (std::size_t dest = 0; dest < dests_; ++dest) {
-        buffers_[set * dests_ + dest].items = nl.ckpt_buffers[i];
-        ++i;
-      }
-    }
-    nl.stats = nl.ckpt_stats;
-  }
-  void speculative_commit(std::uint32_t n) {
-    // Keep the snapshot vectors' capacity for the next epoch; just drop
-    // their contents.
-    for (auto& v : node_[n].ckpt_buffers) v.clear();
-  }
-
  private:
   /// When the deliver functor can recompute an item's target PE
   /// (`target_of`), buffers store bare items — for ACIC that is 16
@@ -289,7 +243,10 @@ class Tram {
     T item;
   };
   using Entry = std::conditional_t<kDerivesTarget, T, EntryWithTarget>;
-  struct Buffer {
+  /// One buffer per cache line: a PE's buffer row is then whole lines,
+  /// so rows written by PEs of different nodes (different host threads
+  /// under the parallel engine) never share one.
+  struct alignas(64) Buffer {
     std::vector<Entry> items;
   };
 
@@ -304,10 +261,6 @@ class Tram {
     std::vector<std::vector<Entry>> fanout_groups;  // fan_out scratch
     std::vector<std::uint32_t> fanout_lane;         // PE lane -> group
     TramStats stats;
-    // Optimistic-engine snapshot of this node's owned buffer slots (in
-    // set-major iteration order) and stats shard.
-    std::vector<std::vector<Entry>> ckpt_buffers;
-    TramStats ckpt_stats;
   };
 
   static Entry make_entry(runtime::PeId target, const T& item) {
@@ -343,22 +296,6 @@ class Tram {
   }
   std::size_t set_index(runtime::PeId pe) const {
     return set_owned_by_pe() ? pe : proc_of_[pe];
-  }
-  /// Simulated node owning buffer set `set` (a process never spans
-  /// nodes, so a proc-owned set maps through its first PE).
-  std::uint32_t set_node(std::size_t set) const {
-    return set_owned_by_pe()
-               ? node_of_[set]
-               : node_of_[topo_.first_pe_of_proc(
-                     static_cast<std::uint32_t>(set))];
-  }
-  std::size_t owned_buffer_count(std::uint32_t n) const {
-    std::size_t count = 0;
-    const std::size_t sets = buffers_.size() / dests_;
-    for (std::size_t set = 0; set < sets; ++set) {
-      if (set_node(set) == n) count += dests_;
-    }
-    return count;
   }
 
   std::size_t wire_bytes(std::size_t items) const {

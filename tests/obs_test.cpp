@@ -209,51 +209,6 @@ TEST(ObsRegistry, MachineCountersMatchRunStats) {
   EXPECT_DOUBLE_EQ(depth->points.back().value, 0.0);
 }
 
-// ---- optimistic-engine speculation export ------------------------------
-
-// Parallel runs cannot carry a live registry (Machine::run falls back to
-// the serial loop when one is attached), so the optimistic engine's
-// diagnostics export post-hoc: publish_speculation turns the machine
-// totals into parallel/speculation_* counters plus the per-epoch GVT-lag
-// series.  The counters must equal the machine's own totals exactly.
-TEST(ObsRegistry, PublishSpeculationExportsCountersAndGvtLag) {
-  const Csr csr = test_graph(9, 3);
-  const Topology topo{4, 1, 2};
-  Machine machine(topo);
-  machine.set_threads(4);
-  machine.set_engine_mode(acic::runtime::EngineMode::kOptimistic);
-  acic::sssp::SolverOptions opts;
-  opts.engine_mode = acic::runtime::EngineMode::kOptimistic;
-  acic::sssp::run_solver("acic", machine, csr, 0, opts);
-  ASSERT_GT(machine.total_speculated_events(), 0u)
-      << "speculation never engaged; the export below would be vacuous";
-
-  Registry registry(topo);
-  machine.publish_speculation(registry);
-  EXPECT_EQ(registry.total("parallel/speculation_rollbacks"),
-            machine.total_speculation_rollbacks());
-  EXPECT_EQ(registry.total("parallel/speculation_commits"),
-            machine.total_speculation_commits());
-  EXPECT_EQ(registry.total("parallel/speculation_events"),
-            machine.total_speculated_events());
-  EXPECT_EQ(registry.total("parallel/speculation_replayed_events"),
-            machine.total_replayed_events());
-  EXPECT_EQ(registry.total("parallel/speculation_checkpoint_bytes"),
-            machine.total_checkpoint_bytes());
-  EXPECT_GT(machine.total_speculation_commits() +
-                machine.total_speculation_rollbacks(),
-            0u);
-
-  // Every resolved epoch logged how far past the committed floor it had
-  // speculated, stamped at the floor's sim time (ascending).
-  const auto* lag = registry.find_series("parallel/speculation_gvt_lag");
-  ASSERT_NE(lag, nullptr);
-  EXPECT_FALSE(lag->points.empty());
-  for (const auto& point : lag->points) {
-    EXPECT_GE(point.value, 0.0);
-  }
-}
-
 // ---- tracer capacity + ScopedSpan --------------------------------------
 
 TEST(Tracer, CapacityEvictsOldestFirst) {

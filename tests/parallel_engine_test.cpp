@@ -1,15 +1,17 @@
-// Determinism contract of the parallel engine: Machine::set_threads and
-// Machine::set_window_mode are wall-clock knobs, never results knobs.
-// Every registered solver must produce bit-identical distances,
-// simulated times, metrics and machine totals at any thread count in
-// either window mode, and the conservative window merge must break
-// timestamp ties exactly like the serial event queue.  The ParallelWindow
-// suite attacks the adaptive widening rule directly: a cross-node send
-// landing exactly on the widened boundary, sparse traffic where adaptive
-// must strictly reduce window count, and a steal-heavy skewed topology.
-// The graph builders carry the same contract for their thread parameter.
+// Determinism contract of the parallel engine: Machine::set_threads is
+// a wall-clock knob, never a results knob.  Every registered solver must
+// produce bit-identical distances, simulated times, metrics and machine
+// totals at any thread count, and the window merge must break timestamp
+// ties exactly like the serial event queue.  The ParallelWindow suite
+// attacks the one-barrier window loop directly: a cross-node send
+// landing exactly on the widened boundary, sparse traffic that must fit
+// in one window, mail crossing in every window (both mailbox
+// parities), many shards per thread, and runs stopped at time limits
+// and resumed on either loop.  The graph builders carry the same
+// contract for their thread parameter.
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <string>
 #include <tuple>
@@ -18,10 +20,11 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/acic.hpp"
 #include "src/graph/csr.hpp"
 #include "src/graph/generators.hpp"
+#include "src/graph/partition.hpp"
 #include "src/runtime/machine.hpp"
-#include "src/runtime/speculation.hpp"
 #include "src/sssp/solver.hpp"
 #include "src/stats/experiment.hpp"
 
@@ -31,25 +34,17 @@ using acic::graph::Csr;
 using acic::graph::Edge;
 using acic::graph::EdgeList;
 using acic::graph::GenParams;
-using acic::runtime::EngineMode;
 using acic::runtime::Machine;
 using acic::runtime::Pe;
 using acic::runtime::PeId;
 using acic::runtime::RunStats;
 using acic::runtime::Topology;
-using acic::runtime::WindowMode;
 
 /// Host-side diagnostics that legitimately vary with the engine
 /// configuration (never part of the bit-identical contract).
 struct Diag {
   std::uint64_t windows = 0;
-  std::uint64_t steals = 0;
   unsigned threads_used = 0;
-  std::uint64_t spec_rollbacks = 0;
-  std::uint64_t spec_commits = 0;
-  std::uint64_t spec_events = 0;
-  std::uint64_t spec_replayed = 0;
-  std::uint64_t ckpt_bytes = 0;
 };
 
 /// Everything a run exposes that must be independent of the host
@@ -73,16 +68,11 @@ struct Observed {
 Observed run_solver_observed(const std::string& solver,
                              const acic::stats::ExperimentSpec& spec,
                              const Csr& csr, unsigned threads,
-                             WindowMode mode = WindowMode::kAdaptive,
-                             Diag* diag = nullptr,
-                             EngineMode emode = EngineMode::kConservative) {
+                             Diag* diag = nullptr) {
   Machine machine(spec.topology());
   machine.set_threads(threads);
-  machine.set_window_mode(mode);
-  acic::sssp::SolverOptions opts;
-  opts.engine_mode = emode;
   const acic::sssp::SolverRun run =
-      acic::sssp::run_solver(solver, machine, csr, spec.source, opts);
+      acic::sssp::run_solver(solver, machine, csr, spec.source, {});
   Observed o;
   o.dist = run.sssp.dist;
   o.sim_time_us = run.sssp.metrics.sim_time_us;
@@ -101,13 +91,7 @@ Observed run_solver_observed(const std::string& solver,
   }
   if (diag != nullptr) {
     diag->windows = machine.total_windows();
-    diag->steals = machine.total_shard_steals();
     diag->threads_used = machine.last_threads_used();
-    diag->spec_rollbacks = machine.total_speculation_rollbacks();
-    diag->spec_commits = machine.total_speculation_commits();
-    diag->spec_events = machine.total_speculated_events();
-    diag->spec_replayed = machine.total_replayed_events();
-    diag->ckpt_bytes = machine.total_checkpoint_bytes();
   }
   return o;
 }
@@ -142,29 +126,17 @@ TEST(ParallelEngine, EverySolverMatchesSerialAtAnyThreadCount) {
     for (const std::string& solver : acic::sssp::solver_names()) {
       const Observed serial = run_solver_observed(solver, spec, csr, 1);
       for (const unsigned threads : {2u, 4u}) {
-        Diag fixed_diag;
-        Diag adaptive_diag;
-        for (const WindowMode mode :
-             {WindowMode::kFixed, WindowMode::kAdaptive}) {
-          const bool is_fixed = mode == WindowMode::kFixed;
-          const Observed parallel = run_solver_observed(
-              solver, spec, csr, threads, mode,
-              is_fixed ? &fixed_diag : &adaptive_diag);
-          expect_identical(serial, parallel,
-                           solver + " seed=" + std::to_string(seed) +
-                               " threads=" + std::to_string(threads) +
-                               (is_fixed ? " fixed" : " adaptive"));
-        }
-        // Adaptive widening can only merge fixed windows, never split
-        // them, so it never runs more of them.
-        EXPECT_LE(adaptive_diag.windows, fixed_diag.windows)
-            << solver << " seed=" << seed << " threads=" << threads;
+        Diag diag;
+        const Observed parallel =
+            run_solver_observed(solver, spec, csr, threads, &diag);
+        expect_identical(serial, parallel,
+                         solver + " seed=" + std::to_string(seed) +
+                             " threads=" + std::to_string(threads));
         // The sequential baseline never drives the machine, so the
         // parallel engine (and its thread clamp) only engages for the
         // event-driven solvers — visible as a nonzero window count.
-        if (fixed_diag.windows > 0) {
-          EXPECT_EQ(fixed_diag.threads_used, threads);
-          EXPECT_EQ(adaptive_diag.threads_used, threads);
+        if (diag.windows > 0) {
+          EXPECT_EQ(diag.threads_used, threads);
         } else {
           EXPECT_EQ(solver, "sequential");
         }
@@ -179,10 +151,9 @@ TEST(ParallelEngine, EverySolverMatchesSerialAtAnyThreadCount) {
 // the window merge must reproduce that order exactly, not just some
 // deterministic order of its own.
 TEST(ParallelEngine, WindowMergeBreaksTimestampTiesLikeSerial) {
-  auto run_once = [](unsigned threads, WindowMode mode) {
+  auto run_once = [](unsigned threads) {
     Machine machine(Topology{4, 1, 2});
     machine.set_threads(threads);
-    machine.set_window_mode(mode);
     std::vector<int> order;
     // PEs 2..7 live on nodes 1..3; node 0 only receives.
     for (PeId p = 2; p < 8; ++p) {
@@ -199,22 +170,27 @@ TEST(ParallelEngine, WindowMergeBreaksTimestampTiesLikeSerial) {
     return std::pair(order, stats.end_time_us);
   };
 
-  const auto [serial_order, serial_end] =
-      run_once(1, WindowMode::kAdaptive);
+  const auto [serial_order, serial_end] = run_once(1);
   EXPECT_EQ(serial_order.size(), 12u);
   for (const unsigned threads : {2u, 4u}) {
-    for (const WindowMode mode :
-         {WindowMode::kFixed, WindowMode::kAdaptive}) {
-      SCOPED_TRACE(threads);
-      SCOPED_TRACE(mode == WindowMode::kFixed ? "fixed" : "adaptive");
-      const auto [order, end] = run_once(threads, mode);
-      EXPECT_EQ(order, serial_order);
-      EXPECT_EQ(end, serial_end);
-    }
+    SCOPED_TRACE(threads);
+    const auto [order, end] = run_once(threads);
+    EXPECT_EQ(order, serial_order);
+    EXPECT_EQ(end, serial_end);
   }
 }
 
-// --- Adaptive-window suite -------------------------------------------
+// --- Window suite ----------------------------------------------------
+
+/// Zero-overhead network with a 4 us inter-node wire: zero-byte
+/// arrivals land at send time + 4 exactly, and 4 is the lookahead.
+acic::runtime::NetworkModel wire4() {
+  acic::runtime::NetworkModel net;
+  net.send_overhead_us = 0.0;
+  net.recv_overhead_us = 0.0;
+  net.latency_inter_node_us = 4.0;
+  return net;
+}
 
 // A cross-node send whose arrival lands *exactly* on the widened window
 // boundary.  Two nodes, one PE each, inter-node latency 4, zero
@@ -227,17 +203,11 @@ TEST(ParallelEngine, WindowMergeBreaksTimestampTiesLikeSerial) {
 // minima only) would run c — and anything after it — before the
 // response could land.
 TEST(ParallelWindow, CrossNodeArrivalExactlyOnWidenedBoundary) {
-  acic::runtime::NetworkModel net;
-  net.send_overhead_us = 0.0;
-  net.recv_overhead_us = 0.0;
-  net.latency_inter_node_us = 4.0;
-
   // The response task runs on PE 0, so it can record into the same
   // vector as the locally scheduled probes without a cross-shard write.
-  auto run_once = [&net](unsigned threads, WindowMode mode) {
-    Machine machine(Topology{2, 1, 1}, net);
+  auto run_once = [](unsigned threads) {
+    Machine machine(Topology{2, 1, 1}, wire4());
     machine.set_threads(threads);
-    machine.set_window_mode(mode);
     std::vector<char> order;
     machine.schedule_at(0.0, 0, [&order](Pe& pe) {
       order.push_back('a');
@@ -251,61 +221,106 @@ TEST(ParallelWindow, CrossNodeArrivalExactlyOnWidenedBoundary) {
     return std::tuple(order, stats.end_time_us, machine.total_windows());
   };
 
-  const auto [serial_order, serial_end, serial_windows] =
-      run_once(1, WindowMode::kAdaptive);
+  const auto [serial_order, serial_end, serial_windows] = run_once(1);
   EXPECT_EQ(std::string(serial_order.begin(), serial_order.end()), "abrc");
   EXPECT_EQ(serial_windows, 0u);  // serial loop runs no windows
-  for (const WindowMode mode :
-       {WindowMode::kFixed, WindowMode::kAdaptive}) {
-    SCOPED_TRACE(mode == WindowMode::kFixed ? "fixed" : "adaptive");
-    const auto [order, end, windows] = run_once(2, mode);
-    EXPECT_EQ(order, serial_order);
-    EXPECT_EQ(end, serial_end);
-    EXPECT_GT(windows, 0u);
+  const auto [order, end, windows] = run_once(2);
+  EXPECT_EQ(order, serial_order);
+  EXPECT_EQ(end, serial_end);
+  EXPECT_GT(windows, 0u);
+}
+
+// Sparse cross-node traffic is where the widening rule pays: node 0
+// carries a chain of local events spaced 10 simulated-us apart (far
+// wider than the 3 us lookahead) and node 1 stays silent.  A window
+// fixed at one lookahead would need one window per event; the plan
+// covers the whole run in a single window because no other shard can
+// ever interfere.
+TEST(ParallelWindow, AdaptiveStrictlyReducesWindowsOnSparseTraffic) {
+  Machine machine(Topology{2, 1, 1});
+  machine.set_threads(2);
+  std::vector<int> order;
+  for (int i = 0; i < 10; ++i) {
+    machine.schedule_at(10.0 * i, 0, [&order, i](Pe&) { order.push_back(i); });
+  }
+  const RunStats stats = machine.run();
+  ASSERT_EQ(order.size(), 10u);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
+  EXPECT_EQ(stats.end_time_us, 90.0);
+  EXPECT_EQ(stats.windows, 1u);  // silent peer => unbounded widening
+  // No cross-node sends anywhere: no window has mail to merge.
+  EXPECT_EQ(stats.window_merges, 0u);
+}
+
+// Mail crosses nodes in every window, so the double-buffered outboxes
+// alternate parity each window: window k writes parity k % 2 while the
+// receivers drain parity (k - 1) % 2.  One ball bounces between two
+// nodes for 20 hops (each hop must wait for the previous window's
+// mail), a second ball crosses it half a microsecond behind, and each
+// node runs a local 1 us tick chain in between.  Every node's record
+// must match serial; with the single ball alone, the window and merge
+// counts are exact.
+TEST(ParallelWindow, MailboxParitiesAlternateEveryWindow) {
+  constexpr int kHops = 20;
+  struct Records {
+    std::vector<int> node[2];
+  };
+  // Each task records on its own node only, so the two vectors are
+  // never written by two shards.
+  struct Ball {
+    Records* rec;
+    int id;
+    int hop;
+    void operator()(Pe& pe) const {
+      rec->node[pe.id()].push_back(1000 * id + hop);
+      if (hop < kHops) pe.send(1 - pe.id(), 0, Ball{rec, id, hop + 1});
+    }
+  };
+  auto run_once = [](unsigned threads, bool second_ball, bool ticks) {
+    Machine machine(Topology{2, 1, 1}, wire4());
+    machine.set_threads(threads);
+    Records rec;
+    machine.schedule_at(0.0, 0, Ball{&rec, 1, 0});
+    if (second_ball) machine.schedule_at(0.5, 1, Ball{&rec, 2, 0});
+    if (ticks) {
+      for (PeId p = 0; p < 2; ++p) {
+        for (int t = 1; t < 4 * kHops; ++t) {
+          machine.schedule_at(1.0 * t, p, [&rec, t](Pe& pe) {
+            rec.node[pe.id()].push_back(-t);
+          });
+        }
+      }
+    }
+    const RunStats stats = machine.run();
+    return std::tuple(rec.node[0], rec.node[1], stats.end_time_us,
+                      stats.windows, stats.window_merges);
+  };
+
+  for (const bool second_ball : {false, true}) {
+    for (const bool ticks : {false, true}) {
+      SCOPED_TRACE(std::string(second_ball ? "two balls" : "one ball") +
+                   (ticks ? " + ticks" : ""));
+      const auto serial = run_once(1, second_ball, ticks);
+      const auto parallel = run_once(2, second_ball, ticks);
+      EXPECT_EQ(std::get<0>(parallel), std::get<0>(serial));
+      EXPECT_EQ(std::get<1>(parallel), std::get<1>(serial));
+      EXPECT_EQ(std::get<2>(parallel), std::get<2>(serial));
+      EXPECT_GE(std::get<4>(parallel), static_cast<std::uint64_t>(kHops));
+      if (!second_ball && !ticks) {
+        // One window per hop; all but the last one sent mail.
+        EXPECT_EQ(std::get<3>(parallel), kHops + 1u);
+        EXPECT_EQ(std::get<4>(parallel), static_cast<std::uint64_t>(kHops));
+      }
+    }
   }
 }
 
-// Sparse cross-node traffic is where adaptive widening pays: node 0
-// carries a chain of local events spaced 10 simulated-us apart (far
-// wider than the 3 us lookahead) and node 1 stays silent.  Fixed mode
-// needs one window per event; adaptive covers the whole run in a
-// single window because no other shard can ever interfere.
-TEST(ParallelWindow, AdaptiveStrictlyReducesWindowsOnSparseTraffic) {
-  auto run_once = [](WindowMode mode) {
-    Machine machine(Topology{2, 1, 1});
-    machine.set_threads(2);
-    machine.set_window_mode(mode);
-    std::vector<int> order;
-    for (int i = 0; i < 10; ++i) {
-      machine.schedule_at(10.0 * i, 0,
-                          [&order, i](Pe&) { order.push_back(i); });
-    }
-    const RunStats stats = machine.run();
-    EXPECT_EQ(order.size(), 10u);
-    for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
-    return std::tuple(stats.end_time_us, stats.windows,
-                      stats.window_merges);
-  };
-
-  const auto [fixed_end, fixed_windows, fixed_merges] =
-      run_once(WindowMode::kFixed);
-  const auto [adaptive_end, adaptive_windows, adaptive_merges] =
-      run_once(WindowMode::kAdaptive);
-  EXPECT_EQ(fixed_end, adaptive_end);
-  EXPECT_EQ(fixed_windows, 10u);    // one 3 us window per event
-  EXPECT_EQ(adaptive_windows, 1u);  // silent peer => unbounded widening
-  EXPECT_LT(adaptive_windows, fixed_windows);
-  // No cross-node sends anywhere: every merge phase must be skipped.
-  EXPECT_EQ(fixed_merges, 0u);
-  EXPECT_EQ(adaptive_merges, 0u);
-}
-
-// Steal-heavy shape: many more nodes than threads with a skewed R-MAT
-// degree distribution, so per-shard work within a window is uneven and
-// threads whose home ranges drain early must steal.  Results must stay
-// bit-identical to serial in both modes, and the clamp must report the
-// requested thread count (12 nodes >= 4 threads).
-TEST(ParallelWindow, StealHeavySkewedTopologyMatchesSerial) {
+// Many more nodes than threads with a skewed R-MAT degree distribution:
+// each of the 4 threads owns a fixed range of 3 shards and runs them in
+// turn every window.  Results must stay bit-identical to serial, and
+// the clamp must report the requested thread count (12 nodes >= 4
+// threads).
+TEST(ParallelWindow, ManyShardsPerThreadMatchesSerial) {
   acic::stats::ExperimentSpec spec;
   spec.graph = acic::stats::GraphKind::kRmat;
   spec.scale = 9;
@@ -314,15 +329,11 @@ TEST(ParallelWindow, StealHeavySkewedTopologyMatchesSerial) {
   spec.nodes = 12;
   const Csr csr = acic::stats::build_graph(spec);
   const Observed serial = run_solver_observed("acic", spec, csr, 1);
-  for (const WindowMode mode :
-       {WindowMode::kFixed, WindowMode::kAdaptive}) {
-    Diag diag;
-    const Observed parallel =
-        run_solver_observed("acic", spec, csr, 4, mode, &diag);
-    expect_identical(serial, parallel,
-                     mode == WindowMode::kFixed ? "fixed" : "adaptive");
-    EXPECT_EQ(diag.threads_used, 4u);
-  }
+  Diag diag;
+  const Observed parallel = run_solver_observed("acic", spec, csr, 4, &diag);
+  expect_identical(serial, parallel, "12 nodes on 4 threads");
+  EXPECT_EQ(diag.threads_used, 4u);
+  EXPECT_GT(diag.windows, 0u);
 }
 
 // The engine clamps nthreads to the node count; RunStats must report
@@ -338,286 +349,100 @@ TEST(ParallelWindow, ThreadCountClampedToNodeCount) {
   EXPECT_EQ(machine.last_threads_used(), 4u);
 }
 
-// --- Optimistic-engine (Time-Warp-lite) suite ------------------------
-//
-// EngineMode::kOptimistic lets each shard execute past its conservative
-// window limit against a checkpoint, rolling back and replaying when a
-// cross-node message lands below its speculative execution point.  The
-// contract is the same as set_threads/set_window_mode: a wall-clock
-// knob, never a results knob — every committed schedule must be
-// bit-identical to the conservative (and serial) one.  These tests
-// force the rollback machinery through its sharpest cases: a straggler
-// one tick below the speculative execution point, a straggler tied
-// with a speculated event, one straggler source rolling several shards
-// back at the same barrier, and rollbacks under work stealing.
-
-/// Test-side application state for raw-machine adversarial runs: a
-/// per-node record of executed payload values.  Speculation only
-/// engages when every registered Snapshotable covers the state tasks
-/// mutate, so the recorder checkpoints/restores its own vectors — a
-/// rolled-back speculative execution must leave no trace in them, or
-/// the final record shows duplicates.
-class RecordingState : public acic::runtime::Snapshotable {
- public:
-  explicit RecordingState(Machine& machine) : machine_(machine) {
-    per_node_.resize(machine.topology().nodes);
-    ckpt_.resize(machine.topology().nodes);
-    machine_.add_snapshotable(this);
-  }
-  ~RecordingState() override { machine_.remove_snapshotable(this); }
-
-  /// Appends `value` to the executing PE's node-local record.
-  void record(const Pe& pe, int value) {
-    per_node_[machine_.topology().node_of(pe.id())].push_back(value);
-  }
-  const std::vector<int>& node_record(std::uint32_t n) const {
-    return per_node_[n];
-  }
-
-  std::size_t speculative_checkpoint(std::uint32_t n) override {
-    ckpt_[n] = per_node_[n];
-    return ckpt_[n].size() * sizeof(int);
-  }
-  void speculative_restore(std::uint32_t n) override {
-    per_node_[n] = ckpt_[n];
-    ckpt_[n].clear();
-  }
-  void speculative_commit(std::uint32_t n) override { ckpt_[n].clear(); }
-
- private:
-  Machine& machine_;
-  std::vector<std::vector<int>> per_node_;
-  std::vector<std::vector<int>> ckpt_;
+/// What a time-sliced acic run must reproduce from one serial run().
+struct SlicedOutcome {
+  std::vector<acic::graph::Dist> dist;
+  double end_time_us = 0.0;
+  std::uint64_t events = 0;
+  std::uint64_t messages = 0;
 };
 
-/// Zero-overhead network with a 4 us inter-node wire: arrivals land at
-/// send time + 4 exactly, and the engine's lookahead (and thus the
-/// adaptive window limit off a t=0 minimum) is exactly 4.
-acic::runtime::NetworkModel wire4() {
-  acic::runtime::NetworkModel net;
-  net.send_overhead_us = 0.0;
-  net.recv_overhead_us = 0.0;
-  net.latency_inter_node_us = 4.0;
-  return net;
+/// One acic query on a fresh 4-node machine; `drive` calls run() (and
+/// set_threads) however it likes, but must leave the queue drained.
+template <typename Drive>
+SlicedOutcome run_acic_driven(const Csr& csr, Drive drive) {
+  Machine machine(Topology{4, 2, 2});
+  const auto partition = acic::graph::Partition1D::block(
+      csr.num_vertices(), machine.num_pes());
+  acic::core::AcicEngine engine(machine, csr, partition, 0,
+                                acic::core::AcicConfig{});
+  drive(machine);
+  EXPECT_TRUE(engine.complete());
+  SlicedOutcome out;
+  out.dist = engine.collect().sssp.dist;
+  out.end_time_us = machine.current_time();
+  out.events = machine.total_events_processed();
+  out.messages = machine.total_messages_sent();
+  return out;
 }
 
-// One straggler, one tick below the speculative execution point.  Node
-// 0's conservative window off the t=0 minima is [0, 4); it speculates
-// the t=5 and t=6 events.  Node 1's t=0 handler mails node 0 with a
-// t=4 arrival — below the speculative execution point (t=6), so the
-// barrier must roll node 0 back, deliver the straggler, and replay
-// t=5/t=6 after it.  An engine that kept the speculation would record
-// 11 and 12 before 99 (or, without state restore, record them twice).
-TEST(OptimisticEngine, StragglerOneTickBelowSpeculationPointRollsBack) {
-  auto run_once = [](unsigned threads, EngineMode emode, Diag* diag) {
-    Machine machine(Topology{2, 1, 1}, wire4());
-    machine.set_threads(threads);
-    machine.set_engine_mode(emode);
-    RecordingState rec(machine);
-    machine.schedule_at(0.0, 0, [&rec](Pe& pe) { rec.record(pe, 10); });
-    machine.schedule_at(5.0, 0, [&rec](Pe& pe) { rec.record(pe, 11); });
-    machine.schedule_at(6.0, 0, [&rec](Pe& pe) { rec.record(pe, 12); });
-    machine.schedule_at(0.0, 1, [&rec](Pe& pe) {
-      rec.record(pe, 20);
-      pe.send(0, 0, [&rec](Pe& peer) { rec.record(peer, 99); });
-    });
-    const RunStats stats = machine.run();
-    if (diag != nullptr) {
-      diag->spec_rollbacks = stats.speculation_rollbacks;
-      diag->spec_events = stats.speculated_events;
-      diag->spec_replayed = stats.replayed_events;
-      diag->ckpt_bytes = stats.checkpoint_bytes;
-    }
-    return std::pair(std::vector<std::vector<int>>{rec.node_record(0),
-                                                   rec.node_record(1)},
-                     stats.end_time_us);
+// run(limit) may be called repeatedly at any thread count.  A run
+// stopped at a limit leaves tasks queued in PE FIFOs (as slot indices)
+// and mail in flight; the next run — on either loop — must pick both up
+// exactly.  Slices of 0.7 us (shorter than the 3 us lookahead), 3 us
+// (exactly one lookahead), 5.5 us and 1000 us at 2 and 4 threads, plus
+// single switches between the serial and parallel loops mid-run and
+// loops alternating every slice, must all reproduce one serial run().
+TEST(ParallelWindow, TimeSlicedRunsMatchOneSerialRun) {
+  GenParams params;
+  params.num_vertices = 1u << 11;
+  params.num_edges = params.num_vertices * 8ull;
+  params.seed = 3;
+  const Csr csr =
+      Csr::from_edge_list(acic::graph::generate_uniform_random(params));
+
+  const SlicedOutcome serial =
+      run_acic_driven(csr, [](Machine& m) { m.run(); });
+  ASSERT_GT(serial.end_time_us, 0.0);
+
+  auto expect_same = [&serial](const SlicedOutcome& got,
+                               const std::string& label) {
+    SCOPED_TRACE(label);
+    EXPECT_EQ(got.dist, serial.dist);
+    EXPECT_EQ(got.end_time_us, serial.end_time_us);
+    EXPECT_EQ(got.events, serial.events);
+    EXPECT_EQ(got.messages, serial.messages);
   };
-
-  const auto [serial_rec, serial_end] =
-      run_once(1, EngineMode::kConservative, nullptr);
-  EXPECT_EQ(serial_rec[0], (std::vector<int>{10, 99, 11, 12}));
-  EXPECT_EQ(serial_rec[1], (std::vector<int>{20}));
-
-  const auto [conservative_rec, conservative_end] =
-      run_once(2, EngineMode::kConservative, nullptr);
-  EXPECT_EQ(conservative_rec, serial_rec);
-  EXPECT_EQ(conservative_end, serial_end);
-
-  Diag diag;
-  const auto [optimistic_rec, optimistic_end] =
-      run_once(2, EngineMode::kOptimistic, &diag);
-  EXPECT_EQ(optimistic_rec, serial_rec);
-  EXPECT_EQ(optimistic_end, serial_end);
-  // The schedule above *forces* the speculation to be wrong: if no
-  // rollback happened, either nothing was speculated (the mode never
-  // engaged) or the straggler was dropped.
-  EXPECT_GE(diag.spec_events, 2u);
-  EXPECT_GE(diag.spec_rollbacks, 1u);
-  EXPECT_GE(diag.spec_replayed, 2u);
-  EXPECT_GT(diag.ckpt_bytes, 0u);
-}
-
-// The tie case: the straggler's arrival carries the *same* timestamp
-// as a speculated event.  The composite key breaks the tie by sequence
-// (the node-0 local event was created by node 0, the mail by node 1,
-// and node 0's seq namespace sorts first), so the speculated event
-// legitimately precedes the arrival and the speculation may commit —
-// but whether it commits or rolls back, the record must match serial
-// exactly, with no duplicated or reordered entries.
-TEST(OptimisticEngine, StragglerTiedWithSpeculatedEventMatchesSerial) {
-  auto run_once = [](unsigned threads, EngineMode emode) {
-    Machine machine(Topology{2, 1, 1}, wire4());
-    machine.set_threads(threads);
-    machine.set_engine_mode(emode);
-    RecordingState rec(machine);
-    machine.schedule_at(0.0, 0, [&rec](Pe& pe) { rec.record(pe, 10); });
-    // Speculated (window limit is 4, and 4 is not < 4) and tied with
-    // the arrival below.
-    machine.schedule_at(4.0, 0, [&rec](Pe& pe) { rec.record(pe, 11); });
-    machine.schedule_at(0.0, 1, [&rec](Pe& pe) {
-      rec.record(pe, 20);
-      pe.send(0, 0, [&rec](Pe& peer) { rec.record(peer, 99); });
-    });
-    const RunStats stats = machine.run();
-    return std::pair(std::vector<std::vector<int>>{rec.node_record(0),
-                                                   rec.node_record(1)},
-                     stats.end_time_us);
-  };
-
-  const auto serial = run_once(1, EngineMode::kConservative);
-  EXPECT_EQ(serial.first[0], (std::vector<int>{10, 11, 99}));
-  for (const unsigned threads : {2u}) {
-    for (const EngineMode emode :
-         {EngineMode::kConservative, EngineMode::kOptimistic}) {
-      SCOPED_TRACE(emode == EngineMode::kOptimistic ? "optimistic"
-                                                    : "conservative");
-      EXPECT_EQ(run_once(threads, emode), serial);
-    }
-  }
-}
-
-// One straggler source, several victims: node 2's t=0 handler mails
-// nodes 0 and 1, both of which have speculated past the t=4 arrival.
-// Both must roll back at the same barrier (a cascade across shards),
-// and both replays must interleave the straggler correctly.
-TEST(OptimisticEngine, OneStragglerRollsBackMultipleShards) {
-  auto run_once = [](unsigned threads, EngineMode emode, Diag* diag) {
-    Machine machine(Topology{3, 1, 1}, wire4());
-    machine.set_threads(threads);
-    machine.set_engine_mode(emode);
-    RecordingState rec(machine);
-    for (PeId p = 0; p < 2; ++p) {
-      const int base = 10 * (1 + static_cast<int>(p));
-      machine.schedule_at(0.0, p, [&rec, base](Pe& pe) {
-        rec.record(pe, base);
-      });
-      machine.schedule_at(5.0, p, [&rec, base](Pe& pe) {
-        rec.record(pe, base + 1);
-      });
-      machine.schedule_at(6.0, p, [&rec, base](Pe& pe) {
-        rec.record(pe, base + 2);
-      });
-    }
-    machine.schedule_at(0.0, 2, [&rec](Pe& pe) {
-      rec.record(pe, 30);
-      pe.send(0, 0, [&rec](Pe& peer) { rec.record(peer, 98); });
-      pe.send(1, 0, [&rec](Pe& peer) { rec.record(peer, 99); });
-    });
-    const RunStats stats = machine.run();
-    if (diag != nullptr) {
-      diag->spec_rollbacks = stats.speculation_rollbacks;
-      diag->spec_events = stats.speculated_events;
-    }
-    return std::vector<std::vector<int>>{
-        rec.node_record(0), rec.node_record(1), rec.node_record(2)};
-  };
-
-  const auto serial = run_once(1, EngineMode::kConservative, nullptr);
-  EXPECT_EQ(serial[0], (std::vector<int>{10, 98, 11, 12}));
-  EXPECT_EQ(serial[1], (std::vector<int>{20, 99, 21, 22}));
-  EXPECT_EQ(serial[2], (std::vector<int>{30}));
-
-  for (const unsigned threads : {2u, 3u}) {
-    SCOPED_TRACE(threads);
-    Diag diag;
-    EXPECT_EQ(run_once(threads, EngineMode::kOptimistic, &diag), serial);
-    // Both victim shards speculated past t=4 and must have rolled back.
-    EXPECT_GE(diag.spec_rollbacks, 2u);
-    EXPECT_GE(diag.spec_events, 4u);
-  }
-}
-
-// Rollbacks under work stealing: the steal-heavy skewed topology from
-// the ParallelWindow suite, run optimistically.  Which thread executes
-// (or re-executes) a shard must not leak into the committed schedule.
-TEST(OptimisticEngine, RollbackUnderStealingMatchesSerial) {
-  acic::stats::ExperimentSpec spec;
-  spec.graph = acic::stats::GraphKind::kRmat;
-  spec.scale = 9;
-  spec.edge_factor = 8;
-  spec.seed = 5;
-  spec.nodes = 12;
-  const Csr csr = acic::stats::build_graph(spec);
-  const Observed serial = run_solver_observed("acic", spec, csr, 1);
-  for (const WindowMode mode :
-       {WindowMode::kFixed, WindowMode::kAdaptive}) {
-    Diag diag;
-    const Observed parallel =
-        run_solver_observed("acic", spec, csr, 4, mode, &diag,
-                            EngineMode::kOptimistic);
-    expect_identical(serial, parallel,
-                     mode == WindowMode::kFixed ? "fixed" : "adaptive");
-    EXPECT_EQ(diag.threads_used, 4u);
-    // Real solver, real traffic: speculation must have engaged and some
-    // of it must have been wrong.
-    EXPECT_GT(diag.spec_events, 0u);
-    EXPECT_GT(diag.spec_rollbacks, 0u);
-    EXPECT_GT(diag.spec_commits, 0u);
-  }
-}
-
-// The registry-wide sweep: every solver, threads {1, 2, 4}, both engine
-// modes, against the serial schedule.  delta_stepping_2d registers an
-// unsupported hook (its state owner and edge relaxers live in different
-// grid cells), so its optimistic runs must downgrade — visibly, as zero
-// speculated events — and every supported solver must actually
-// speculate somewhere in the sweep.
-TEST(OptimisticEngine, EverySolverMatchesSerialInBothEngineModes) {
-  acic::stats::ExperimentSpec spec;
-  spec.graph = acic::stats::GraphKind::kRandom;
-  spec.scale = 10;
-  spec.edge_factor = 8;
-  spec.seed = 1;
-  spec.nodes = 4;
-  const Csr csr = acic::stats::build_graph(spec);
-  for (const std::string& solver : acic::sssp::solver_names()) {
-    const Observed serial = run_solver_observed(solver, spec, csr, 1);
-    std::uint64_t spec_events = 0;
-    for (const unsigned threads : {2u, 4u}) {
-      for (const EngineMode emode :
-           {EngineMode::kConservative, EngineMode::kOptimistic}) {
-        const bool optimistic = emode == EngineMode::kOptimistic;
-        Diag diag;
-        const Observed parallel =
-            run_solver_observed(solver, spec, csr, threads,
-                                WindowMode::kAdaptive, &diag, emode);
-        expect_identical(serial, parallel,
-                         solver + " threads=" + std::to_string(threads) +
-                             (optimistic ? " optimistic" : " conservative"));
-        if (!optimistic) {
-          // Conservative runs never speculate, whatever is registered.
-          EXPECT_EQ(diag.spec_events, 0u) << solver;
-          EXPECT_EQ(diag.ckpt_bytes, 0u) << solver;
-        }
-        spec_events += diag.spec_events;
+  // Runs slice after slice, choosing the thread count per slice, until
+  // a run finishes without hitting its limit.
+  auto sliced = [](double slice, auto threads_for) {
+    return [slice, threads_for](Machine& m) {
+      for (int i = 1;; ++i) {
+        m.set_threads(threads_for(i));
+        if (!m.run(slice * i).hit_time_limit) break;
       }
-    }
-    if (solver == "sequential" || solver == "delta_stepping_2d") {
-      EXPECT_EQ(spec_events, 0u) << solver;
-    } else {
-      EXPECT_GT(spec_events, 0u) << solver;
+    };
+  };
+
+  for (const unsigned threads : {2u, 4u}) {
+    for (const double slice : {0.7, 3.0, 5.5, 1000.0}) {
+      expect_same(
+          run_acic_driven(csr, sliced(slice, [threads](int) {
+                            return threads;
+                          })),
+          "threads=" + std::to_string(threads) +
+              " slice=" + std::to_string(slice));
     }
   }
+  const double mid = serial.end_time_us / 2;
+  for (const auto& [first, second] :
+       {std::pair{1u, 4u}, std::pair{4u, 1u}, std::pair{2u, 1u}}) {
+    expect_same(run_acic_driven(csr,
+                                [=](Machine& m) {
+                                  m.set_threads(first);
+                                  ASSERT_TRUE(m.run(mid).hit_time_limit);
+                                  m.set_threads(second);
+                                  m.run();
+                                }),
+                "switch " + std::to_string(first) + "->" +
+                    std::to_string(second));
+  }
+  expect_same(run_acic_driven(csr, sliced(25.0,
+                                          [](int i) {
+                                            return std::array{1u, 4u,
+                                                              2u}[i % 3];
+                                          })),
+              "alternating 1/4/2 every 25 us");
 }
 
 void expect_same_edges(const EdgeList& a, const EdgeList& b) {

@@ -3,7 +3,8 @@
 // adapters call the original entry points, so both paths must produce
 // bit-identical distances and simulated times), observability neutrality
 // (attaching a registry never perturbs a run), cross-solver distance
-// agreement, register_solver, and the unknown-name contract.
+// agreement, register_solver/unregister_solver, and the unknown-name
+// contract.
 
 #include <gtest/gtest.h>
 
@@ -151,20 +152,18 @@ TEST(SolverRegistry, AttachingRegistryDoesNotPerturbRuns) {
     const SolverRun observed =
         acic::sssp::run_solver(name, observed_machine, csr, 0, opts);
 
-    // Neutrality holds across the engine modes too: an optimistic
-    // parallel run (registry-less — an attached registry forces the
-    // serial loop) commits the same schedule the observed run saw.
-    Machine optimistic_machine(topo);
-    optimistic_machine.set_threads(2);
-    SolverOptions optimistic_opts;
-    optimistic_opts.engine_mode = acic::runtime::EngineMode::kOptimistic;
-    const SolverRun optimistic = acic::sssp::run_solver(
-        name, optimistic_machine, csr, 0, optimistic_opts);
-    ASSERT_EQ(optimistic.sssp.dist, plain.sssp.dist) << name;
-    EXPECT_DOUBLE_EQ(optimistic.sssp.metrics.sim_time_us,
+    // Neutrality holds across thread counts too: a parallel run
+    // (registry-less — an attached registry forces the serial loop)
+    // computes the same schedule the observed run saw.
+    Machine parallel_machine(topo);
+    parallel_machine.set_threads(2);
+    const SolverRun parallel =
+        acic::sssp::run_solver(name, parallel_machine, csr, 0);
+    ASSERT_EQ(parallel.sssp.dist, plain.sssp.dist) << name;
+    EXPECT_DOUBLE_EQ(parallel.sssp.metrics.sim_time_us,
                      plain.sssp.metrics.sim_time_us)
         << name;
-    EXPECT_EQ(optimistic.telemetry.cycles, plain.telemetry.cycles) << name;
+    EXPECT_EQ(parallel.telemetry.cycles, plain.telemetry.cycles) << name;
 
     ASSERT_EQ(observed.sssp.dist.size(), plain.sssp.dist.size()) << name;
     for (std::size_t v = 0; v < plain.sssp.dist.size(); ++v) {
@@ -231,6 +230,12 @@ TEST(SolverRegistry, SequentialMethods) {
 TEST(SolverRegistry, RegisterSolverAddsAndReplaces) {
   const Csr csr = test_graph(6);
   Machine machine(Topology::tiny(2));
+  // The registry is process-wide: remove the stub however the test
+  // exits, so suites that enumerate solver_names() later in the same
+  // process never see it.
+  struct Unregister {
+    ~Unregister() { acic::sssp::unregister_solver("test_stub"); }
+  } unregister;
 
   acic::sssp::register_solver(
       "test_stub", [](Machine&, const Csr& g, acic::graph::VertexId,
@@ -259,6 +264,15 @@ TEST(SolverRegistry, RegisterSolverAddsAndReplaces) {
   EXPECT_DOUBLE_EQ(
       acic::sssp::run_solver("test_stub", machine, csr, 0).sssp.dist[0],
       7.0);
+
+  EXPECT_TRUE(acic::sssp::unregister_solver("test_stub"));
+  EXPECT_FALSE(acic::sssp::has_solver("test_stub"));
+  EXPECT_FALSE(acic::sssp::unregister_solver("test_stub"));
+}
+
+TEST(SolverRegistryDeathTest, BuiltInSolversCannotBeUnregistered) {
+  EXPECT_DEATH(acic::sssp::unregister_solver("acic"),
+               "built-in solvers cannot be unregistered");
 }
 
 TEST(SolverRegistryDeathTest, UnknownNameAsserts) {
