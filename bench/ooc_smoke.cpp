@@ -26,8 +26,7 @@
 //
 //   ./build/bench/ooc_smoke --mode build --scale 22 --file g.oocsr
 //   ./build/bench/ooc_smoke --mode memsolve --scale 22
-//   ./build/bench/ooc_smoke --mode solve --file g.oocsr \
-//       --expect-checksum <hex from memsolve>
+//   ./build/bench/ooc_smoke --mode solve --file g.oocsr --expect-checksum HEX
 //
 // All modes print MAX_RSS_BYTES= / MAJOR_FAULTS= lines for the scripts
 // around them.

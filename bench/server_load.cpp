@@ -242,9 +242,8 @@ int main(int argc, char** argv) {
       const bool full_retained = verify && queries <= verify_full_max;
       config.retain_full_results = full_retained;
       if (observed) {
-        config.registry = &registry;
-        config.tracer = &tracer;
-        runtime::attach_tracer(machine, tracer);
+        machine.set_registry(&registry);
+        machine.set_tracer(&tracer);
       }
       // Each cell mutates its own DynamicGraph, so dynamic mode builds a
       // fresh one from the shared edge list.  QueryService is pinned in

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     runtime::Tracer tracer;
     obs::Registry registry(topo);
     runtime::Machine machine(topo);
-    runtime::attach_tracer(machine, tracer);
+    machine.set_tracer(&tracer);
 
     sssp::SolverOptions solver_opts;
     solver_opts.registry = &registry;
@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
     runtime::Tracer tracer;
     obs::Registry registry(topo);
     runtime::Machine machine(topo);
-    runtime::attach_tracer(machine, tracer);
+    machine.set_tracer(&tracer);
 
     sssp::SolverOptions solver_opts;
     solver_opts.registry = &registry;

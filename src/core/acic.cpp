@@ -9,6 +9,7 @@
 #include "src/core/histogram.hpp"
 #include "src/core/hold.hpp"
 #include "src/graph/ooc_prefetch.hpp"
+#include "src/obs/registry.hpp"
 #include "src/runtime/collectives.hpp"
 #include "src/sssp/update.hpp"
 #include "src/tram/tram.hpp"
@@ -152,6 +153,7 @@ class AcicEngine::Impl {
        const graph::Partition1D& partition, VertexId source,
        const AcicConfig& config, AcicEngineOptions options)
       : machine_(machine),
+        registry_(machine.registry()),
         csr_(csr),
         partition_(partition),
         source_(source),
@@ -204,8 +206,8 @@ class AcicEngine::Impl {
       state.t_pq = config_.num_buckets - 1;
     }
 
-    if (config_.registry != nullptr) {
-      obs::Registry& reg = *config_.registry;
+    if (registry_ != nullptr) {
+      obs::Registry& reg = *registry_;
       obs_t_tram_ = reg.series("acic/t_tram");
       obs_t_pq_ = reg.series("acic/t_pq");
       obs_active_updates_ = reg.series("acic/active_updates");
@@ -214,11 +216,6 @@ class AcicEngine::Impl {
       obs_released_tram_ = reg.counter("acic/updates_released_tram");
       obs_held_pq_ = reg.counter("acic/updates_held_pq");
       obs_released_pq_ = reg.counter("acic/updates_released_pq");
-      // The engine's tram reports to the same registry unless the caller
-      // already pointed it elsewhere.
-      if (config_.tram.registry == nullptr) {
-        config_.tram.registry = config_.registry;
-      }
     }
 
     tram_ = std::make_unique<UpdateTram>(machine_, config_.tram,
@@ -403,8 +400,8 @@ class AcicEngine::Impl {
       ++state.held_in_tram;
       state.tram_hold.put(bucket,
                           UpdateMsg{target, make_meta(bucket, lane), d});
-      if (config_.registry != nullptr) {
-        config_.registry->add(obs_held_tram_, pe.id(), 1, pe.now());
+      if (registry_ != nullptr) {
+        registry_->add(obs_held_tram_, pe.id(), 1, pe.now());
       }
     }
   }
@@ -458,8 +455,8 @@ class AcicEngine::Impl {
     } else {
       ++state.held_in_pq_hold;
       state.pq_hold.put(bucket, u);
-      if (config_.registry != nullptr) {
-        config_.registry->add(obs_held_pq_, pe.id(), 1, pe.now());
+      if (registry_ != nullptr) {
+        registry_->add(obs_held_pq_, pe.id(), 1, pe.now());
       }
     }
     // Either way this vertex's row will be walked once the update
@@ -737,8 +734,8 @@ class AcicEngine::Impl {
     // Per-cycle introspection stream: the chosen thresholds, the global
     // active-update count, and the full distance histogram, stamped at
     // the root's current time.
-    if (config_.registry != nullptr) {
-      obs::Registry& reg = *config_.registry;
+    if (registry_ != nullptr) {
+      obs::Registry& reg = *registry_;
       reg.append(obs_t_tram_, pe.now(), static_cast<double>(t.t_tram));
       reg.append(obs_t_pq_, pe.now(), static_cast<double>(t.t_pq));
       reg.append(obs_active_updates_, pe.now(), created - processed);
@@ -809,9 +806,9 @@ class AcicEngine::Impl {
     std::vector<UpdateMsg>& release_buffer = state.release_scratch;
     release_buffer.clear();
     state.tram_hold.release_up_to(state.t_tram, &release_buffer);
-    if (config_.registry != nullptr && !release_buffer.empty()) {
-      config_.registry->add(obs_released_tram_, pe.id(),
-                            release_buffer.size(), pe.now());
+    if (registry_ != nullptr && !release_buffer.empty()) {
+      registry_->add(obs_released_tram_, pe.id(),
+                     release_buffer.size(), pe.now());
     }
     for (const UpdateMsg& u : release_buffer) {
       // The held message already carries its bucket and lane; re-emit it
@@ -822,9 +819,9 @@ class AcicEngine::Impl {
 
     release_buffer.clear();
     state.pq_hold.release_up_to(state.t_pq, &release_buffer);
-    if (config_.registry != nullptr && !release_buffer.empty()) {
-      config_.registry->add(obs_released_pq_, pe.id(),
-                            release_buffer.size(), pe.now());
+    if (registry_ != nullptr && !release_buffer.empty()) {
+      registry_->add(obs_released_pq_, pe.id(),
+                     release_buffer.size(), pe.now());
     }
     for (const UpdateMsg& u : release_buffer) {
       pe.charge(config_.costs.pq_op_us);
@@ -842,6 +839,7 @@ class AcicEngine::Impl {
   }
 
   runtime::Machine& machine_;
+  obs::Registry* const registry_;  // the machine's, read at construction
   const graph::Csr& csr_;
   const graph::Partition1D& partition_;
   VertexId source_;
@@ -872,7 +870,7 @@ class AcicEngine::Impl {
 
   std::vector<HistogramSnapshot> snapshots_;
 
-  // Registry handles; valid iff config_.registry != nullptr.
+  // Registry handles; valid iff registry_ != nullptr.
   obs::SeriesId obs_t_tram_;
   obs::SeriesId obs_t_pq_;
   obs::SeriesId obs_active_updates_;

@@ -132,6 +132,13 @@ struct AcicEngineOptions {
 /// each registers its idle-time pq drain via Machine::add_idle_handler
 /// so concurrent queries share idle dispatch instead of clobbering it.
 ///
+/// Observability: when the machine has a registry attached at
+/// construction, the engine streams its introspection state per
+/// reduction cycle — chosen thresholds ("acic/t_tram", "acic/t_pq"), the
+/// global active count ("acic/active_updates"), the full update-distance
+/// histogram ("acic/update_histogram"), and hold/release counters — and
+/// its tram publishes "tram/*".  Publishing never charges simulated CPU.
+///
 /// Destruction contract: destroy only after complete() — at termination
 /// the created == processed quiescence guarantees no in-flight update
 /// messages reference the engine — and never from a task the engine

@@ -5,7 +5,6 @@
 #include <cstdint>
 
 #include "src/core/thresholds.hpp"
-#include "src/obs/registry.hpp"
 #include "src/sssp/cost_model.hpp"
 #include "src/tram/tram.hpp"
 
@@ -64,16 +63,6 @@ struct AcicConfig {
   /// Record the root's global histogram every cycle (fig. 1 support;
   /// costs memory, off by default).
   bool record_histograms = false;
-
-  /// Optional observability registry (src/obs/registry.hpp).  When set,
-  /// the engine streams its introspection state per reduction cycle —
-  /// chosen thresholds ("acic/t_tram", "acic/t_pq"), the global active
-  /// count ("acic/active_updates"), the full update-distance histogram
-  /// ("acic/update_histogram"), and hold/release counters — and the
-  /// engine's tram publishes "tram/*" (the registry is propagated into
-  /// the tram config unless that already names one).  Publishing never
-  /// charges simulated CPU.  Must outlive the engine.
-  obs::Registry* registry = nullptr;
 
   /// Optional out-of-core frontier feed (src/graph/ooc_prefetch.hpp).
   /// When set, the engine publishes the vertex id of every update

@@ -46,13 +46,15 @@ struct IncrementalConfig {
   /// Simulated machine shape for every solve (fresh machine per solve,
   /// so simulated time restarts at zero each epoch).
   runtime::Topology topology = runtime::Topology::tiny(4);
-  /// Host threads for Machine::run (1 = serial event loop).
+  /// Host threads for Machine::run (Machine::set_threads).
   unsigned threads = 1;
   /// Fall back to a cold from-scratch solve when the affected set
   /// exceeds this fraction of the vertices.  1.0 forces repair always,
   /// 0.0 forces recompute always (the bench's recompute arm).
   double recompute_fraction = 0.25;
-  /// Optional observability registry; must outlive the solver.
+  /// Optional registry for the dynamic/* counters, published between
+  /// solves (the per-solve machines run unobserved).  Must outlive the
+  /// solver.
   obs::Registry* registry = nullptr;
 };
 

@@ -14,7 +14,9 @@ namespace acic::graph {
 bool write_edge_list_csv(const EdgeList& list, const std::string& path);
 
 /// Reads a CSV edge list.  `num_vertices` of 0 means "infer as
-/// max(endpoint)+1".  Throws std::runtime_error on malformed input.
+/// max(endpoint)+1".  Throws std::runtime_error, naming the line, on
+/// malformed input: a row that does not parse, a negative vertex id or
+/// one VertexId cannot hold, or a weight that is negative or not finite.
 EdgeList read_edge_list_csv(const std::string& path,
                             VertexId num_vertices = 0);
 

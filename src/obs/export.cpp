@@ -181,8 +181,8 @@ bool write_chrome_trace(const std::string& path,
   }
 
   std::fputs("\n]}\n", f);
-  std::fclose(f);
-  return true;
+  const bool write_failed = std::ferror(f) != 0;
+  return std::fclose(f) == 0 && !write_failed;
 }
 
 bool write_timeseries_csv(const std::string& path,
@@ -202,8 +202,8 @@ bool write_timeseries_csv(const std::string& path,
                    p.value);
     }
   }
-  std::fclose(f);
-  return true;
+  const bool write_failed = std::ferror(f) != 0;
+  return std::fclose(f) == 0 && !write_failed;
 }
 
 bool write_counters_csv(const std::string& path, const Registry& registry) {
@@ -229,8 +229,8 @@ bool write_counters_csv(const std::string& path, const Registry& registry) {
                        registry.at(id, Scope::process(p))));
     }
   }
-  std::fclose(f);
-  return true;
+  const bool write_failed = std::ferror(f) != 0;
+  return std::fclose(f) == 0 && !write_failed;
 }
 
 bool write_histogram_csv(const std::string& path, const Registry& registry,
@@ -258,8 +258,8 @@ bool write_histogram_csv(const std::string& path, const Registry& registry,
     }
     std::fputc('\n', f);
   }
-  std::fclose(f);
-  return true;
+  const bool write_failed = std::ferror(f) != 0;
+  return std::fclose(f) == 0 && !write_failed;
 }
 
 }  // namespace acic::obs

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "src/obs/registry.hpp"
+#include "src/runtime/trace.hpp"
 #include "src/util/assert.hpp"
 
 namespace acic::runtime {
@@ -27,13 +28,15 @@ inline void cpu_relax() {
 /// Waiters spin with a pause hint, then yield; on an undersubscribed
 /// host (fewer cores than workers) spinning only steals cycles from the
 /// thread everyone is waiting on, so the spin budget is zero there.
+/// With one party the arriving thread is always the last: the barrier
+/// reduces to a call of `completion`.
 ///
 /// Memory ordering: every arriving thread's acq_rel fetch_add on
 /// `arrived_` forms a release sequence read by the last arrival, and
 /// the epoch release-store / acquire-load pair publishes the completion
 /// step's writes — so all pre-barrier writes happen-before all
-/// post-barrier reads, on every thread.  This is the parallel engine's
-/// only synchronization; ThreadSanitizer verifies the chain in CI.
+/// post-barrier reads, on every thread.  This is the engine's only
+/// synchronization; ThreadSanitizer verifies the chain in CI.
 template <typename Fn>
 class SpinBarrier {
  public:
@@ -48,7 +51,8 @@ class SpinBarrier {
       epoch_.store(epoch + 1, std::memory_order_release);
       return;
     }
-    int spins = spin_budget_;
+    static const unsigned cores = std::thread::hardware_concurrency();
+    int spins = cores >= parties_ ? 256 : 0;
     while (epoch_.load(std::memory_order_acquire) == epoch) {
       if (spins-- > 0) {
         cpu_relax();
@@ -61,8 +65,6 @@ class SpinBarrier {
  private:
   const unsigned parties_;
   Fn completion_;
-  const int spin_budget_ =
-      std::thread::hardware_concurrency() >= parties_ ? 256 : 0;
   std::atomic<std::uint32_t> arrived_{0};
   std::atomic<std::uint64_t> epoch_{0};
 };
@@ -73,13 +75,20 @@ struct alignas(64) TimeLine {
   SimTime t[8];
 };
 
+/// Initial capacity of the event and slot stores: steady-state queue
+/// depth is a small multiple of the PE count, so warm-up never
+/// reallocates mid-sift.
+std::size_t queue_hint(const Topology& topology) {
+  return std::max<std::size_t>(1024, 4 * topology.num_entities());
+}
+
 }  // namespace
 
-/// A cross-node arrival buffered in its sending shard's outbox until the
-/// next window.  Carries the seq the sender already assigned, so the
+/// A cross-shard arrival buffered in its sending shard's outbox until
+/// the next window.  Carries the seq the sender already assigned, so the
 /// receiving heap's comparator alone decides the merge order —
-/// (timestamp, src node, per-node sequence), independent of the order
-/// in which the receiver drains its sources.
+/// (timestamp, creating node, per-node sequence), independent of the
+/// order in which the receiver drains its sources.
 struct Machine::Mail {
   SimTime time;
   std::uint64_t seq;
@@ -88,37 +97,43 @@ struct Machine::Mail {
   Task task;
 };
 
-/// One simulated node's slice of the event loop during a parallel run:
-/// its own 4-ary heap, outgoing mailboxes and stat deltas.  Between two
-/// barriers a shard is touched only by the host thread that owns it,
-/// except that the owner of node d drains (and re-arms) the *previous*
-/// window's `outbox[p][d]` / `mail_min[p]` entries while this shard
-/// writes the other parity.
+/// One host thread's slice of the event loop: the events of the nodes
+/// it owns in one 4-ary heap, its outgoing mailboxes and its stat
+/// deltas.  Shards persist across run() calls, so pending events stay
+/// in their owner's heap between runs.  Between two barriers a shard is
+/// touched only by the host thread that owns it, except that the owner
+/// of shard d drains (and re-arms) the *previous* window's
+/// `outbox[p][d]` / `mail_min[p]` entries while this shard writes the
+/// other parity.
 struct alignas(64) Machine::Shard {
+  /// Index in shards_ (== the host thread that runs it).
+  std::uint32_t id = 0;
+  /// Node of the event being dispatched: every event it creates keys on
+  /// this node, exactly as if the node ran alone.
   std::uint32_t node = 0;
   util::DaryHeap<Event, EventOrder> heap;
-  /// outbox[p][d]: arrivals for node d buffered in a window of parity p.
-  /// Boxes keep their capacity across windows and runs (ParallelState
-  /// persists them), so steady-state merges never reallocate.
+  /// outbox[p][d]: arrivals for shard d buffered in a window of parity
+  /// p.  Boxes keep their capacity across windows and runs, so
+  /// steady-state merges never reallocate.
   std::vector<std::vector<Mail>> outbox[2];
   /// mail_min[p]: earliest arrival time in each outbox[p][d]
   /// (kNoTimeLimit when empty), eight destinations per line.
   std::vector<TimeLine> mail_min[2];
   /// Parity of the window this shard is executing (selects the outbox).
   unsigned parity = 0;
-  /// Max event time processed on this shard — the shard-local mirror of
-  /// current_time_ (identical inside a task: the executing PE's clock
-  /// is always >= the current event's time on both paths).
+  /// Max event time processed on this shard: current_time() inside a
+  /// task.  The executing PE's clock is always >= the current event's
+  /// time, so sends depart at the same instant at any shard count.
   SimTime now = 0.0;
   /// Exclusive end of this shard's current window: the smallest other
   /// shard's effective minimum + lookahead, shrunk on the fly when this
-  /// shard buffers a cross-node send (a reaction to mail arriving at A
+  /// shard buffers a cross-shard send (a reaction to mail arriving at A
   /// cannot land back here before A + lookahead).
   SimTime window_limit = 0.0;
-  /// Floor other shards' windows rely on: no cross-node event created
+  /// Floor other shards' windows rely on: no cross-shard event created
   /// by this shard may land before (its effective minimum at the window
   /// start) + lookahead.  Sends satisfy it by the network model;
-  /// cross-node schedule_at inside it is a causality bug (asserted).
+  /// cross-shard schedule_at inside it is a causality bug (asserted).
   SimTime cross_floor = 0.0;
   /// Inter-node latency, copied per run so the send hot path never
   /// reaches back into the Machine.
@@ -134,13 +149,6 @@ struct alignas(64) Machine::Shard {
   SimTime& mail_min_for(unsigned p, std::uint32_t dest) {
     return mail_min[p][dest / 8].t[dest % 8];
   }
-};
-
-/// Parallel-run scratch that outlives a single run(): shard heaps and
-/// mailboxes keep their capacity, so a serving workload that calls run()
-/// per query batch stops paying setup/regrow per call.
-struct Machine::ParallelState {
-  std::vector<Shard> shards;
 };
 
 thread_local Machine::Shard* Machine::tls_shard_ = nullptr;
@@ -168,21 +176,53 @@ Machine::Machine(Topology topology, NetworkModel network)
     entity_node_[p] = topology_.node_of(p);
   }
   node_seq_.resize(topology_.nodes);
-  // Steady-state queue depth is a small multiple of the PE count; seed the
-  // backing stores so warm-up never reallocates mid-sift.
-  const std::size_t hint =
-      std::max<std::size_t>(1024, 4 * topology_.num_entities());
-  queue_.reserve(hint);
+  shard_of_node_.resize(topology_.nodes);
   slots_.resize(topology_.nodes);
   for (SlotStore& store : slots_) {
-    store.tasks.reserve(hint / topology_.nodes);
-    store.free.reserve(hint / topology_.nodes);
+    store.tasks.reserve(queue_hint(topology_) / topology_.nodes);
+    store.free.reserve(queue_hint(topology_) / topology_.nodes);
   }
+  deal_shards(1);
 }
 
 // Parked tasks (arrivals never executed because run() hit its time limit)
 // are destroyed with slots_.
 Machine::~Machine() = default;
+
+void Machine::deal_shards(unsigned count) {
+  // Pending events follow their node to its new owner.  Mail never
+  // outlives a run (run() merges it before returning), and the parked
+  // tasks stay put: slot stores are per node, not per shard.
+  std::vector<Event> pending;
+  for (Shard& sh : shards_) {
+    while (!sh.heap.empty()) {
+      pending.push_back(sh.heap.top());
+      sh.heap.pop();
+    }
+  }
+  const std::uint32_t nodes = topology_.nodes;
+  TimeLine none;
+  std::fill(std::begin(none.t), std::end(none.t), kNoTimeLimit);
+  shards_.clear();
+  shards_.resize(count);
+  for (std::uint32_t t = 0; t < count; ++t) {
+    Shard& sh = shards_[t];
+    sh.id = t;
+    sh.heap.reserve(queue_hint(topology_) / count);
+    for (unsigned p = 0; p < 2; ++p) {
+      sh.outbox[p].resize(count);
+      sh.mail_min[p].assign((count + 7) / 8, none);
+    }
+    // Shard t owns the node range [t*nodes/count, (t+1)*nodes/count).
+    for (std::uint32_t n = t * nodes / count; n < (t + 1) * nodes / count;
+         ++n) {
+      shard_of_node_[n] = t;
+    }
+  }
+  for (const Event& e : pending) {
+    shards_[shard_of_node_[entity_node_[e.pe]]].heap.push(e);
+  }
+}
 
 void Machine::set_registry(obs::Registry* registry) {
   flush_ready_sample();  // pending sample belongs to the old registry
@@ -193,6 +233,10 @@ void Machine::set_registry(obs::Registry* registry) {
   }
   obs_ = std::make_unique<obs::RuntimeCounters>(
       obs::define_runtime_counters(*registry_));
+}
+
+SimTime Machine::current_time() const {
+  return tls_shard_ != nullptr ? tls_shard_->now : current_time_;
 }
 
 void Machine::send(PeId from, PeId to, std::size_t bytes, Task task) {
@@ -212,20 +256,16 @@ void Machine::send(PeId from, PeId to, std::size_t bytes, Task task) {
   const SimTime arrival = departure + network_.transfer_time(loc, bytes);
 
   if (sh != nullptr) {
-    ACIC_HOT_ASSERT(entity_node_[from] == sh->node);
+    ACIC_HOT_ASSERT(shard_of_node_[entity_node_[from]] == sh->id);
     ++sh->stats.messages_sent;
     sh->stats.bytes_sent += bytes;
   } else {
     ++messages_sent_;
     bytes_sent_ += bytes;
-    if (active_stats_ != nullptr) {
-      ++active_stats_->messages_sent;
-      active_stats_->bytes_sent += bytes;
-    }
-    if (registry_ != nullptr) [[unlikely]] {
-      registry_->add(obs_->messages(loc), from, 1, departure);
-      registry_->add(obs_->bytes(loc), from, bytes, departure);
-    }
+  }
+  if (registry_ != nullptr) [[unlikely]] {
+    registry_->add(obs_->messages(loc), from, 1, departure);
+    registry_->add(obs_->bytes(loc), from, bytes, departure);
   }
 
   // The receiver pays its per-message overhead when it picks the task up
@@ -248,8 +288,8 @@ IdleHandlerId Machine::add_idle_handler(PeId pe, IdleHandler handler) {
   pes_[pe].idle_handlers_.push_back(Pe::IdleEntry{id, std::move(handler)});
   // If the PE is already asleep, poke it so the new handler gets a chance
   // to run; an exec event on an empty queue degrades to an idle poll.
-  const SimTime now = tls_shard_ != nullptr ? tls_shard_->now : current_time_;
-  ensure_exec_scheduled(pes_[pe], std::max(now, pes_[pe].avail_time_));
+  ensure_exec_scheduled(pes_[pe],
+                        std::max(current_time(), pes_[pe].avail_time_));
   return id;
 }
 
@@ -302,16 +342,18 @@ Task Machine::release_slot(std::uint32_t node, std::uint32_t slot) {
   return task;
 }
 
-void Machine::note_ready_depth(SimTime time) {
+void Machine::note_ready_depth(const Shard& sh, SimTime time) {
   // Same-timestamp changes coalesce: only the last value at a given
-  // instant is observable, so one series append per distinct time.
+  // instant is observable, so one series append per distinct time.  An
+  // observed run is one shard, so its delta is the machine-wide change.
   if (ready_sample_pending_ && ready_sample_time_ != time) {
     registry_->append(obs_->ready_tasks, ready_sample_time_,
                       ready_sample_value_);
   }
   ready_sample_pending_ = true;
   ready_sample_time_ = time;
-  ready_sample_value_ = static_cast<double>(ready_tasks_);
+  ready_sample_value_ = static_cast<double>(
+      static_cast<std::int64_t>(ready_tasks_) + sh.ready_delta);
 }
 
 void Machine::flush_ready_sample() {
@@ -325,51 +367,53 @@ void Machine::flush_ready_sample() {
 void Machine::push_arrival(SimTime time, PeId pe, Task task,
                            bool charge_recv) {
   const std::uint32_t dest = entity_node_[pe];
+  const std::uint32_t owner = shard_of_node_[dest];
   Shard* const sh = tls_shard_;
-  if (sh != nullptr) {
-    const std::uint64_t seq = next_seq(sh->node);
-    if (dest == sh->node) {
-      const std::uint32_t slot = acquire_slot(dest, std::move(task));
-      sh->heap.push(Event{time, seq, pe,
-                          charge_recv ? (kRecvBit | slot) : slot});
-      return;
-    }
-    // Conservative lookahead: a cross-node arrival must land at or after
-    // the floor other shards' windows were computed against.  Sends
-    // always satisfy this (inter-node transfer time >= the lookahead,
-    // and the departure is at or after this shard's window-start
-    // minimum); a cross-node schedule_at below it would be a causality
-    // violation.
-    ACIC_ASSERT_MSG(time >= sh->cross_floor,
-                    "cross-node event scheduled inside the conservative "
-                    "window (use a send, or run with --threads 1)");
-    sh->outbox[sh->parity][dest].push_back(
-        Mail{time, seq, pe, charge_recv, std::move(task)});
-    SimTime& first = sh->mail_min_for(sh->parity, dest);
-    if (time < first) first = time;
-    // Feedback bound: a reaction to this mail cannot arrive here before
-    // its delivery plus one more inter-node hop.  Always at or ahead of
-    // the execution point (arrival >= event time + lookahead), so the
-    // shrink never invalidates executed events.
-    const SimTime feedback = time + sh->lookahead;
-    if (feedback < sh->window_limit) sh->window_limit = feedback;
+  if (sh == nullptr) {
+    // Set-up code outside run(): the event keys on its own node.
+    const std::uint32_t slot = acquire_slot(dest, std::move(task));
+    shards_[owner].heap.push(Event{time, next_seq(dest), pe,
+                                   charge_recv ? (kRecvBit | slot) : slot});
     return;
   }
-  const std::uint32_t node = running_ ? current_node_ : dest;
-  const std::uint32_t slot = acquire_slot(dest, std::move(task));
-  queue_.push(Event{time, next_seq(node), pe,
-                    charge_recv ? (kRecvBit | slot) : slot});
+  const std::uint64_t seq = next_seq(sh->node);
+  if (owner == sh->id) {
+    const std::uint32_t slot = acquire_slot(dest, std::move(task));
+    sh->heap.push(Event{time, seq, pe, charge_recv ? (kRecvBit | slot) : slot});
+    return;
+  }
+  // Conservative lookahead: a cross-shard arrival must land at or after
+  // the floor other shards' windows were computed against.  Sends
+  // always satisfy this (inter-node transfer time >= the lookahead, and
+  // the departure is at or after this shard's window-start minimum); a
+  // cross-shard schedule_at below it would be a causality violation.
+  ACIC_ASSERT_MSG(time >= sh->cross_floor,
+                  "cross-node event scheduled inside the conservative "
+                  "window (use a send, or run with --threads 1)");
+  sh->outbox[sh->parity][owner].push_back(
+      Mail{time, seq, pe, charge_recv, std::move(task)});
+  SimTime& first = sh->mail_min_for(sh->parity, owner);
+  if (time < first) first = time;
+  // Feedback bound: a reaction to this mail cannot arrive here before
+  // its delivery plus one more inter-node hop.  Always at or ahead of
+  // the execution point (arrival >= event time + lookahead), so the
+  // shrink never invalidates executed events.
+  const SimTime feedback = time + sh->lookahead;
+  if (feedback < sh->window_limit) sh->window_limit = feedback;
 }
 
 void Machine::push_exec(SimTime time, PeId pe) {
   Shard* const sh = tls_shard_;
-  if (sh != nullptr) {
-    ACIC_HOT_ASSERT(entity_node_[pe] == sh->node);
-    sh->heap.push(Event{time, next_seq(sh->node), pe, kExecBit | kNoSlot});
+  if (sh == nullptr) {
+    // Set-up code outside run(): the event keys on its own node.
+    const std::uint32_t node = entity_node_[pe];
+    shards_[shard_of_node_[node]].heap.push(
+        Event{time, next_seq(node), pe, kExecBit | kNoSlot});
     return;
   }
-  const std::uint32_t node = running_ ? current_node_ : entity_node_[pe];
-  queue_.push(Event{time, next_seq(node), pe, kExecBit | kNoSlot});
+  ACIC_HOT_ASSERT_MSG(shard_of_node_[entity_node_[pe]] == sh->id,
+                      "PE woken from another shard's node");
+  sh->heap.push(Event{time, next_seq(sh->node), pe, kExecBit | kNoSlot});
 }
 
 void Machine::ensure_exec_scheduled(Pe& pe, SimTime earliest) {
@@ -378,52 +422,41 @@ void Machine::ensure_exec_scheduled(Pe& pe, SimTime earliest) {
   push_exec(std::max(earliest, pe.avail_time_), pe.id_);
 }
 
-void Machine::handle_arrival(const Event& event) {
+void Machine::handle_arrival(Shard& sh, const Event& event) {
   Pe& pe = pes_[event.pe];
   // The queued-task word reuses the event's packing (recv bit + slot).
   pe.fifo_.push_back(event.packed);
-  Shard* const sh = tls_shard_;
-  if (sh != nullptr) {
-    ++sh->ready_delta;
-  } else {
-    ++ready_tasks_;
-    if (registry_ != nullptr) [[unlikely]] {
-      note_ready_depth(event.time);
-    }
+  ++sh.ready_delta;
+  if (registry_ != nullptr) [[unlikely]] {
+    note_ready_depth(sh, event.time);
   }
   ensure_exec_scheduled(pe, event.time);
 }
 
-void Machine::handle_exec(const Event& event) {
+void Machine::handle_exec(Shard& sh, const Event& event) {
   Pe& pe = pes_[event.pe];
   ACIC_ASSERT(pe.exec_scheduled_);
   pe.current_time_ = std::max(event.time, pe.avail_time_);
-  Shard* const sh = tls_shard_;
 
   if (!pe.fifo_.empty()) {
     const std::uint32_t queued = pe.fifo_.pop_front();
     // Move the task out of its slot before running it: the task may
     // enqueue new arrivals, which can grow (reallocate) the slot store.
-    Task task = release_slot(entity_node_[event.pe], queued & kSlotMask);
+    Task task = release_slot(sh.node, queued & kSlotMask);
     ++pe.tasks_run_;
-    if (sh != nullptr) {
-      --sh->ready_delta;
-      ++sh->stats.tasks_executed;
-    } else {
-      --ready_tasks_;
-      if (active_stats_ != nullptr) ++active_stats_->tasks_executed;
-      if (registry_ != nullptr) [[unlikely]] {
-        registry_->add(obs_->tasks_executed, pe.id_, 1, pe.current_time_);
-        note_ready_depth(pe.current_time_);
-      }
+    --sh.ready_delta;
+    ++sh.stats.tasks_executed;
+    if (registry_ != nullptr) [[unlikely]] {
+      registry_->add(obs_->tasks_executed, pe.id_, 1, pe.current_time_);
+      note_ready_depth(sh, pe.current_time_);
     }
     const SimTime span_start = pe.current_time_;
     // The receiver's per-message overhead is part of the task's span,
     // charged exactly where the old wrapper closure charged it.
     if ((queued & kRecvBit) != 0) pe.charge(network_.recv_overhead_us);
     task(pe);
-    if (span_hook_) {
-      span_hook_(pe.id_, span_start, pe.current_time_, false);
+    if (tracer_ != nullptr) [[unlikely]] {
+      tracer_->record(pe.id_, span_start, pe.current_time_, SpanKind::kTask);
     }
     pe.avail_time_ = pe.current_time_;
     // Stay scheduled: either more tasks are queued or the idle handler
@@ -440,13 +473,9 @@ void Machine::handle_exec(const Event& event) {
   if (!pe.idle_handlers_.empty()) {
     const SimTime span_start = pe.current_time_;
     pe.charge(idle_poll_cost_us_);
-    if (sh != nullptr) {
-      ++sh->stats.idle_polls;
-    } else {
-      if (active_stats_ != nullptr) ++active_stats_->idle_polls;
-      if (registry_ != nullptr) [[unlikely]] {
-        registry_->add(obs_->idle_polls, pe.id_, 1, pe.current_time_);
-      }
+    ++sh.stats.idle_polls;
+    if (registry_ != nullptr) [[unlikely]] {
+      registry_->add(obs_->idle_polls, pe.id_, 1, pe.current_time_);
     }
     bool did_work = false;
     pe.idle_polling_ = true;
@@ -460,9 +489,10 @@ void Machine::handle_exec(const Event& event) {
       }
     }
     pe.idle_polling_ = false;
-    if (span_hook_) {
+    if (tracer_ != nullptr) [[unlikely]] {
       // Idle polls that found work count as busy spans.
-      span_hook_(pe.id_, span_start, pe.current_time_, !did_work);
+      tracer_->record(pe.id_, span_start, pe.current_time_,
+                      did_work ? SpanKind::kTask : SpanKind::kIdlePoll);
     }
     pe.avail_time_ = pe.current_time_;
     if (did_work || !pe.fifo_.empty()) {
@@ -474,135 +504,80 @@ void Machine::handle_exec(const Event& event) {
 }
 
 RunStats Machine::run(SimTime time_limit) {
-  if (threads_ > 1 && topology_.nodes > 1 && registry_ == nullptr &&
-      !span_hook_ && network_.latency_inter_node_us > 0.0) {
-    return run_parallel(time_limit);
-  }
-  RunStats stats;
-  last_threads_used_ = 1;
-  active_stats_ = &stats;
-  running_ = true;
-  while (!queue_.empty()) {
-    if (queue_.top().time > time_limit) {
-      stats.hit_time_limit = true;
-      break;
-    }
-    const Event event = queue_.top();  // POD copy; payload stays parked
-    queue_.pop();
-    ++events_processed_;
-    ++stats.events_processed;
-    current_time_ = std::max(current_time_, event.time);
-    // Pushes triggered by this event key on its node — the same node a
-    // parallel shard would key them on.
-    current_node_ = entity_node_[event.pe];
-    if (event.is_exec()) {
-      handle_exec(event);
-    } else {
-      handle_arrival(event);
-    }
-  }
-  running_ = false;
-  if (registry_ != nullptr) [[unlikely]] {
-    flush_ready_sample();
-  }
-  stats.end_time_us = current_time_;
-  active_stats_ = nullptr;
-  return stats;
-}
-
-RunStats Machine::run_parallel(SimTime time_limit) {
-  const std::uint32_t nodes = topology_.nodes;
-  const unsigned nthreads = std::min<unsigned>(threads_, nodes);
   // Conservative lookahead: no message crosses nodes in less than the
   // inter-node wire latency (transfer_time = latency + bytes/bandwidth),
-  // so no shard can be affected by another sooner than that.
+  // so no shard can be affected by another sooner than that.  Without
+  // it, or when an observer needs one ordered stream, one shard runs
+  // every node.
   const SimTime lookahead = network_.latency_inter_node_us;
+  const bool one_shard =
+      registry_ != nullptr || tracer_ != nullptr || !(lookahead > 0.0);
+  const unsigned nthreads =
+      one_shard ? 1u : std::min<unsigned>(threads_, topology_.nodes);
+  if (nthreads != shards_.size()) deal_shards(nthreads);
   last_threads_used_ = nthreads;
-
-  if (par_ == nullptr) par_ = std::make_unique<ParallelState>();
-  std::vector<Shard>& shards = par_->shards;
-  if (shards.size() != nodes) {
-    TimeLine none;
-    std::fill(std::begin(none.t), std::end(none.t), kNoTimeLimit);
-    shards.clear();
-    shards.resize(nodes);
-    for (std::uint32_t n = 0; n < nodes; ++n) {
-      shards[n].node = n;
-      for (unsigned p = 0; p < 2; ++p) {
-        shards[n].outbox[p].resize(nodes);
-        shards[n].mail_min[p].assign((nodes + 7) / 8, none);
-      }
-    }
-  }
-  for (Shard& sh : shards) {
+  for (Shard& sh : shards_) {
     sh.now = current_time_;
     sh.lookahead = lookahead;
     sh.stats = RunStats{};
     sh.ready_delta = 0;
-  }
-  // Parks buffered mail's task in its destination node's store and
-  // returns the arrival event that references it.
-  const auto park = [this](std::uint32_t node, Mail& m) {
-    const std::uint32_t slot = acquire_slot(node, std::move(m.task));
-    return Event{m.time, m.seq, m.pe, m.charge_recv ? (kRecvBit | slot) : slot};
-  };
-  // Hand the global heap's events to their nodes' shards; the parked
-  // tasks already sit in per-node slot stores.  Insertion order is
-  // irrelevant: the comparator is a total order, so every heap pops the
-  // same sequence regardless of how it was filled.
-  while (!queue_.empty()) {
-    const Event e = queue_.top();
-    queue_.pop();
-    shards[entity_node_[e.pe]].heap.push(e);
   }
 
   // The window plan, written by the barrier's completion step and read
   // by every thread after it.
   struct Plan {
     SimTime min1 = kNoTimeLimit;  // smallest effective minimum
-    SimTime min2 = kNoTimeLimit;  // smallest on any shard != node1
-    std::uint32_t node1 = 0;      // shard holding min1 (lowest id on ties)
+    SimTime min2 = kNoTimeLimit;  // smallest on any shard != shard1
+    std::uint32_t shard1 = 0;     // shard holding min1 (lowest id on ties)
     unsigned parity = 1;          // parity of the latest planned window
     bool run = false;             // execute another window?
     bool hit_limit = false;
   } plan;
   std::uint64_t windows = 0;
   std::uint64_t window_merges = 0;
+  // Parks buffered mail's task in its destination node's store and
+  // returns the arrival event that references it.
+  const auto park = [this](Mail& m) {
+    const std::uint32_t slot =
+        acquire_slot(entity_node_[m.pe], std::move(m.task));
+    return Event{m.time, m.seq, m.pe, m.charge_recv ? (kRecvBit | slot) : slot};
+  };
 
   // Runs on the last thread into the barrier.  Shard d's effective
   // minimum E_d is its heap minimum lowered by the earliest mail
   // addressed to it in the window that just ended — exactly its heap
   // minimum once that mail is merged.  The next window follows from the
-  // E values (min1/min2 with the arg-min shard, ties to the lowest node
-  // id — deterministic, though results never depend on it).
+  // E values (min1/min2 with the arg-min shard, ties to the lowest
+  // shard id — deterministic, though results never depend on it).  One
+  // shard has no other shard to wait for: its window is unbounded.
   SpinBarrier barrier(nthreads, [&] {
-    for (Shard& sh : shards) sh.next_min = sh.heap_min;
+    for (Shard& sh : shards_) sh.next_min = sh.heap_min;
     bool mail = false;
-    for (Shard& src : shards) {
-      for (std::uint32_t d = 0; d < nodes; ++d) {
+    for (Shard& src : shards_) {
+      for (std::uint32_t d = 0; d < nthreads; ++d) {
         const SimTime first = src.mail_min_for(plan.parity, d);
         if (first == kNoTimeLimit) continue;
         mail = true;
-        shards[d].next_min = std::min(shards[d].next_min, first);
+        shards_[d].next_min = std::min(shards_[d].next_min, first);
       }
     }
     if (mail) ++window_merges;
     SimTime min1 = kNoTimeLimit;
     SimTime min2 = kNoTimeLimit;
-    std::uint32_t node1 = 0;
-    for (std::uint32_t n = 0; n < nodes; ++n) {
-      const SimTime v = shards[n].next_min;
+    std::uint32_t shard1 = 0;
+    for (std::uint32_t d = 0; d < nthreads; ++d) {
+      const SimTime v = shards_[d].next_min;
       if (v < min1) {
         min2 = min1;
         min1 = v;
-        node1 = n;
+        shard1 = d;
       } else if (v < min2) {
         min2 = v;
       }
     }
     plan.min1 = min1;
     plan.min2 = min2;
-    plan.node1 = node1;
+    plan.shard1 = shard1;
     plan.run = min1 != kNoTimeLimit && min1 <= time_limit;
     if (min1 != kNoTimeLimit && min1 > time_limit) plan.hit_limit = true;
     if (plan.run) {
@@ -612,59 +587,52 @@ RunStats Machine::run_parallel(SimTime time_limit) {
   });
 
   auto worker = [&](unsigned tid) {
-    // Thread tid owns shards [lo, hi) for the whole run.
-    const std::uint32_t lo = tid * nodes / nthreads;
-    const std::uint32_t hi = (tid + 1) * nodes / nthreads;
-    for (std::uint32_t d = lo; d < hi; ++d) {
-      Shard& sh = shards[d];
-      sh.heap_min = sh.heap.empty() ? kNoTimeLimit : sh.heap.top().time;
-    }
+    Shard& sh = shards_[tid];
+    sh.heap_min = sh.heap.empty() ? kNoTimeLimit : sh.heap.top().time;
     barrier.arrive_and_wait();
     // Every thread reads the same plan, so all leave together.
     while (plan.run) {
       const unsigned out = plan.parity;
       const unsigned in = out ^ 1;
-      for (std::uint32_t d = lo; d < hi; ++d) {
-        Shard& sh = shards[d];
-        // Merge the previous window's mail for d, skipping sources that
-        // sent none, and re-arm each drained source's minimum for its
-        // next window of that parity.  The senders are meanwhile
-        // writing the other parity.
-        for (Shard& src : shards) {
-          SimTime& first = src.mail_min_for(in, d);
-          if (first == kNoTimeLimit) continue;
-          first = kNoTimeLimit;
-          std::vector<Mail>& box = src.outbox[in][d];
-          for (Mail& m : box) sh.heap.push(park(d, m));
-          box.clear();  // keeps capacity: boxes never regrow in steady state
-        }
-        // Shard d stops at (smallest E over OTHER shards) + lookahead:
-        // for everyone but the arg-min shard that is min1 + lookahead;
-        // the arg-min shard runs on to min2 + lookahead.  Safe because
-        // no other shard can inject an event below its own E +
-        // lookahead, and cascades through this shard's own sends are
-        // cut off by the feedback shrink in push_arrival.
-        sh.window_limit =
-            (d == plan.node1 ? plan.min2 : plan.min1) + lookahead;
-        sh.cross_floor = sh.next_min + lookahead;
-        sh.parity = out;
-        tls_shard_ = &sh;
-        while (!sh.heap.empty()) {
-          const Event& top = sh.heap.top();
-          if (top.time >= sh.window_limit || top.time > time_limit) break;
-          const Event e = top;
-          sh.heap.pop();
-          ++sh.stats.events_processed;
-          sh.now = std::max(sh.now, e.time);
-          if (e.is_exec()) {
-            handle_exec(e);
-          } else {
-            handle_arrival(e);
-          }
-        }
-        tls_shard_ = nullptr;
-        sh.heap_min = sh.heap.empty() ? kNoTimeLimit : sh.heap.top().time;
+      // Merge the previous window's mail for this shard, skipping
+      // sources that sent none, and re-arm each drained source's
+      // minimum for its next window of that parity.  The senders are
+      // meanwhile writing the other parity.
+      for (Shard& src : shards_) {
+        SimTime& first = src.mail_min_for(in, tid);
+        if (first == kNoTimeLimit) continue;
+        first = kNoTimeLimit;
+        std::vector<Mail>& box = src.outbox[in][tid];
+        for (Mail& m : box) sh.heap.push(park(m));
+        box.clear();  // keeps capacity: boxes never regrow in steady state
       }
+      // The shard stops at (smallest E over OTHER shards) + lookahead:
+      // for everyone but the arg-min shard that is min1 + lookahead;
+      // the arg-min shard runs on to min2 + lookahead.  Safe because no
+      // other shard can inject an event below its own E + lookahead,
+      // and cascades through this shard's own sends are cut off by the
+      // feedback shrink in push_arrival.
+      sh.window_limit =
+          (tid == plan.shard1 ? plan.min2 : plan.min1) + lookahead;
+      sh.cross_floor = sh.next_min + lookahead;
+      sh.parity = out;
+      tls_shard_ = &sh;
+      while (!sh.heap.empty()) {
+        const Event& top = sh.heap.top();
+        if (top.time >= sh.window_limit || top.time > time_limit) break;
+        const Event e = top;  // POD copy; payload stays parked
+        sh.heap.pop();
+        ++sh.stats.events_processed;
+        sh.now = std::max(sh.now, e.time);
+        sh.node = entity_node_[e.pe];
+        if (e.is_exec()) {
+          handle_exec(sh, e);
+        } else {
+          handle_arrival(sh, e);
+        }
+      }
+      tls_shard_ = nullptr;
+      sh.heap_min = sh.heap.empty() ? kNoTimeLimit : sh.heap.top().time;
       barrier.arrive_and_wait();
     }
   };
@@ -677,8 +645,9 @@ RunStats Machine::run_parallel(SimTime time_limit) {
   worker(0);
   for (std::thread& t : pool) t.join();
 
-  // Fold shard deltas back into the machine, and hand unprocessed events
-  // and undelivered mail (a hit time limit) back to the global queue.
+  // Fold shard deltas back into the machine.  Mail buffered for a
+  // window that never ran (a hit time limit) joins its destination's
+  // heap, so the next run starts from heaps alone.
   RunStats stats;
   stats.hit_time_limit = plan.hit_limit;
   stats.threads_used = nthreads;
@@ -686,29 +655,28 @@ RunStats Machine::run_parallel(SimTime time_limit) {
   stats.window_merges = window_merges;
   windows_ += windows;
   window_merges_ += window_merges;
-  for (Shard& sh : shards) {
+  for (Shard& sh : shards_) {
     stats.tasks_executed += sh.stats.tasks_executed;
     stats.idle_polls += sh.stats.idle_polls;
     stats.messages_sent += sh.stats.messages_sent;
     stats.bytes_sent += sh.stats.bytes_sent;
     stats.events_processed += sh.stats.events_processed;
-    messages_sent_ += sh.stats.messages_sent;
-    bytes_sent_ += sh.stats.bytes_sent;
-    events_processed_ += sh.stats.events_processed;
     ready_tasks_ = static_cast<std::uint64_t>(
         static_cast<std::int64_t>(ready_tasks_) + sh.ready_delta);
     current_time_ = std::max(current_time_, sh.now);
-    while (!sh.heap.empty()) {
-      queue_.push(sh.heap.top());
-      sh.heap.pop();
-    }
     for (unsigned p = 0; p < 2; ++p) {
-      for (std::uint32_t d = 0; d < nodes; ++d) {
-        for (Mail& m : sh.outbox[p][d]) queue_.push(park(d, m));
+      for (std::uint32_t d = 0; d < nthreads; ++d) {
+        for (Mail& m : sh.outbox[p][d]) shards_[d].heap.push(park(m));
         sh.outbox[p][d].clear();
         sh.mail_min_for(p, d) = kNoTimeLimit;
       }
     }
+  }
+  messages_sent_ += stats.messages_sent;
+  bytes_sent_ += stats.bytes_sent;
+  events_processed_ += stats.events_processed;
+  if (registry_ != nullptr) [[unlikely]] {
+    flush_ready_sample();
   }
   stats.end_time_us = current_time_;
   return stats;

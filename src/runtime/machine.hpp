@@ -31,46 +31,50 @@
 // the event in its top 16 bits, a per-node monotone counter below.
 // Ties on time therefore break by (creating node, creation order on that
 // node) — a total order that does not depend on how the events were
-// interleaved across host threads, so serial and parallel execution
-// replay the identical simulation.  Slot and pool reuse recycles
-// *memory*, never ordering: indices take no part in event comparison.
+// interleaved across host threads, so every thread count replays the
+// identical simulation.  Slot and pool reuse recycles *memory*, never
+// ordering: indices take no part in event comparison.
 //
-// Parallel execution (docs/performance.md, "Parallel engine")
+// Shards and windows (docs/performance.md, "Parallel engine")
 // -----------------------------------------------------------
-// set_threads(N) with N > 1 runs the event loop with one shard (event
-// heap) per simulated node, advanced in conservative time windows: no
-// message crosses nodes faster than the inter-node wire latency L, so
-// within a window each shard can execute its own node's events
-// independently.  Host thread t owns the fixed shard range
-// [t*nodes/N, (t+1)*nodes/N) for the whole run, and each window costs
+// run() executes one loop at every thread count.  Host thread t owns
+// shard t: one event heap for the node range [t*nodes/N, (t+1)*nodes/N),
+// where N = set_threads clamped to the node count.  One thread is one
+// shard over every node, popping events in exactly (time, seq) order.
+// Shards advance in conservative time windows: no message crosses nodes
+// faster than the inter-node wire latency L, so within a window each
+// shard can execute its own events independently, and each window costs
 // one barrier:
-//   * Cross-node sends buffer into double-buffered per-(src,dst)
-//     outboxes (window k writes parity k % 2) and record the earliest
-//     arrival per destination.  At the start of window k+1 the owner of
-//     each destination merges the previous parity's mail into its heap
-//     while the senders already write the other parity.  Events order
-//     by the composite key above, so the merged interleaving is
-//     bit-identical to the serial engine's at any thread count.
+//   * A send between two nodes of one shard goes straight into that
+//     shard's heap.  Sends between shards buffer into double-buffered
+//     per-(src,dst) outboxes (window k writes parity k % 2) and record
+//     the earliest arrival per destination.  At the start of window k+1
+//     the owner of each destination merges the previous parity's mail
+//     into its heap while the senders already write the other parity.
+//     Events order by the composite key above, so the merged
+//     interleaving is bit-identical at any thread count.
 //   * The barrier's completion step plans the next window from each
 //     shard's effective minimum E_d = min(heap minimum, earliest mail
 //     addressed to d): the arg-min shard may run to the second-smallest
 //     E + L, every other shard to the smallest E + L, and a shard that
 //     buffers mail arriving at A shrinks its own limit to A + L on the
 //     spot.  Both bounds are provably conservative (see
-//     docs/performance.md for the argument), so sparse cross-node
+//     docs/performance.md for the argument), so sparse cross-shard
 //     traffic yields windows of hundreds of events instead of one
-//     latency sliver.
-// Runs fall back to the serial loop when a registry or span hook is
-// attached (observation streams are inherently ordered), on single-node
-// topologies, or when the network model has no inter-node lookahead.
-// Arrival tasks park in their destination node's slot store on both
-// loops, so a run stopped at a time limit may resume on either loop.
+//     latency sliver.  A lone shard's window is unbounded: one window
+//     per run() call.
+// An observed machine (registry or tracer attached) runs one shard,
+// because observation streams are ordered; so does a network model with
+// no inter-node lookahead.  Shards persist across run() calls: a run
+// stopped at a time limit leaves its events in their owners' heaps, and
+// a thread-count change re-deals them.  Arrival tasks park in their
+// destination node's slot store, so queued slot words stay valid.
 //
 // Ownership discipline (per the HPC guides: message passing, no shared
 // mutable state): a task scheduled on PE p may mutate only state owned by
 // p; all cross-PE effects must travel through send()/enqueue_local().
-// Under parallel execution this is a hard requirement, not just a design
-// rule: a task's shard only owns the state of its own simulated node,
+// With several shards this is a hard requirement, not just a design
+// rule: a task's shard only owns the state of its own simulated nodes,
 // and the ThreadSanitizer CI job enforces it as a data-race matter.
 
 #include <cstdint>
@@ -95,6 +99,7 @@ namespace acic::runtime {
 
 class Machine;
 class Pe;
+class Tracer;
 
 /// Idle handler: invoked when the PE has no pending tasks.  Returns true
 /// if it performed work (it will then be invoked again once that work's
@@ -125,21 +130,21 @@ struct RunStats {
   std::uint64_t events_processed = 0;
   bool hit_time_limit = false;
 
-  /// Effective worker-thread count: run_parallel clamps the requested
-  /// set_threads value to the node count, and observed/serial runs use
-  /// 1 — this is the number a scaling claim must cite.
+  /// Effective worker-thread count (== shards): the requested
+  /// set_threads value clamped to the node count, and 1 for observed
+  /// runs — this is the number a scaling claim must cite.
   unsigned threads_used = 1;
-  /// Conservative windows executed (0 under the serial loop).
+  /// Conservative windows executed (one per run() for a lone shard).
   std::uint64_t windows = 0;
-  /// Windows that buffered cross-node mail (merged into the receiving
+  /// Windows that buffered cross-shard mail (merged into the receiving
   /// shards at the start of the next window).
   std::uint64_t window_merges = 0;
 };
 
 /// Per-PE execution context handed to every task and idle handler.
 /// Cache-line aligned: every charge writes the PE's clock and busy
-/// total, and under the parallel engine neighbouring PEs can belong to
-/// nodes run by different host threads.
+/// total, and neighbouring PEs can belong to nodes run by different
+/// host threads.
 class alignas(64) Pe {
  public:
   PeId id() const { return id_; }
@@ -276,14 +281,14 @@ class Machine {
 
   /// Runs the event loop until the queue drains or `time_limit` is
   /// reached.  May be called repeatedly; time continues monotonically.
-  /// With set_threads(N > 1) on a multi-node topology the loop executes
+  /// With set_threads(N > 1) on a multi-node topology N shards execute
   /// in parallel conservative time windows; results are bit-identical
-  /// to the serial loop (see the header comment).
+  /// at every thread count (see the header comment).
   RunStats run(SimTime time_limit = kNoTimeLimit);
 
-  /// Host worker threads for run(): one shard per simulated node,
-  /// clamped to the node count.  1 (the default) keeps the serial event
-  /// loop.  Must not be called while run() is executing.
+  /// Host worker threads for run(), one shard each, clamped to the node
+  /// count (and to 1 on an observed machine).  Must not be called while
+  /// run() is executing.
   void set_threads(unsigned threads) {
     ACIC_ASSERT_MSG(threads >= 1, "thread count must be >= 1");
     threads_ = threads;
@@ -301,11 +306,12 @@ class Machine {
   std::uint64_t total_shard_steals() const { return 0; }
 
   /// Effective worker count of the most recent run() (clamped to the
-  /// node count; 1 for serial runs).
+  /// node count; 1 for observed runs).
   unsigned last_threads_used() const { return last_threads_used_; }
 
-  /// Time of the most recently processed event.
-  SimTime current_time() const { return current_time_; }
+  /// Time of the most recently processed event: the executing shard's
+  /// clock inside a run, the machine's between runs.
+  SimTime current_time() const;
 
   /// Per-PE busy time and task counts (for load-balance metrics).
   SimTime pe_busy_us(PeId pe) const { return pes_[pe].busy_us_; }
@@ -320,23 +326,27 @@ class Machine {
   /// check).
   void set_idle_poll_cost(SimTime us) { idle_poll_cost_us_ = us; }
 
-  /// Observability hook: invoked after every executed task and idle
-  /// poll with (pe, start_us, end_us, was_idle_poll).  Used by the
-  /// Tracer (src/runtime/trace.hpp); at most one hook is active.
-  using SpanHook =
-      std::function<void(PeId, SimTime, SimTime, bool)>;
-  void set_span_hook(SpanHook hook) { span_hook_ = std::move(hook); }
+  /// Attaches an execution tracer (src/runtime/trace.hpp): the machine
+  /// records one span per executed task and idle poll.  Engines, trams
+  /// and the query service read tracer() once, at construction, for
+  /// their named spans.  Pass nullptr to detach.  The tracer must
+  /// outlive the machine's run() calls.
+  void set_tracer(Tracer* tracer) { tracer_ = tracer; }
+  Tracer* tracer() const { return tracer_; }
 
   /// Attaches an observability registry (src/obs/registry.hpp): the
   /// machine then publishes task/idle-poll counts, message and byte
   /// counters split by locality tier (attributed to the sending
   /// entity), and a machine-wide ready-task depth series, all stamped
-  /// in simulated time.  Publishing never charges simulated CPU, so
-  /// attaching a registry does not perturb a run.  Ready-depth samples
-  /// are batched per distinct timestamp (intermediate same-time values
-  /// are unobservable), keeping the attach cost low.  Pass nullptr to
-  /// detach.  The registry must outlive the machine (or be detached
-  /// first) and should share this machine's topology.
+  /// in simulated time.  Engines, trams and the query service read
+  /// registry() once, at construction, and publish their own streams
+  /// into it: this is the one attach point.  Publishing never charges
+  /// simulated CPU, so attaching a registry does not perturb a run.
+  /// Ready-depth samples are batched per distinct timestamp
+  /// (intermediate same-time values are unobservable), keeping the
+  /// attach cost low.  Pass nullptr to detach.  The registry must
+  /// outlive the machine (or be detached first) and should share this
+  /// machine's topology.
   void set_registry(obs::Registry* registry);
   obs::Registry* registry() const { return registry_; }
 
@@ -379,13 +389,9 @@ class Machine {
   };
 
   /// One event-loop shard (heap + outgoing mailboxes + run-stat
-  /// deltas) per simulated node.  Defined in machine.cpp.
+  /// deltas) per host thread.  Defined in machine.cpp.
   struct Shard;
-  /// Persistent parallel-run scratch (the shards and their mailbox
-  /// capacities), reused across run() calls so steady-state serving
-  /// workloads never reallocate per window or per run.
-  struct ParallelState;
-  /// A cross-node arrival buffered until the next window.  The seq was
+  /// A cross-shard arrival buffered until the next window.  The seq was
   /// already assigned by the *sending* shard, so merge order is decided
   /// by the heap comparator alone.
   struct Mail;
@@ -400,10 +406,12 @@ class Machine {
   void push_arrival(SimTime time, PeId pe, Task task, bool charge_recv);
   void push_exec(SimTime time, PeId pe);
   void ensure_exec_scheduled(Pe& pe, SimTime earliest);
-  void handle_arrival(const Event& event);
-  void handle_exec(const Event& event);
+  void handle_arrival(Shard& sh, const Event& event);
+  void handle_exec(Shard& sh, const Event& event);
 
-  RunStats run_parallel(SimTime time_limit);
+  /// Rebuilds the shards for `count` host threads and re-deals the
+  /// pending events to their nodes' new owners.
+  void deal_shards(unsigned count);
 
   /// Parks `task` in `node`'s slot store (the node of the PE that will
   /// run it) and returns its index.
@@ -413,18 +421,17 @@ class Machine {
   /// Records the ready-depth series sample for `time`, coalescing all
   /// same-timestamp changes into the final value (flushed when the
   /// timestamp advances or the run ends).
-  void note_ready_depth(SimTime time);
+  void note_ready_depth(const Shard& sh, SimTime time);
   void flush_ready_sample();
 
   Topology topology_;
   NetworkModel network_;
   std::vector<Pe> pes_;
-  util::DaryHeap<Event, EventOrder> queue_;
   /// Parked arrival tasks, one store per simulated node, indexed by
-  /// Event::slot; `free` recycles indices LIFO.  Both loops park a task
-  /// in its destination node's store, so the slot words queued in PE
-  /// FIFOs stay valid when a run stopped at a time limit resumes on the
-  /// other loop, and parallel shards never share a store.
+  /// Event::slot; `free` recycles indices LIFO.  A task parks in its
+  /// destination node's store, so the slot words queued in PE FIFOs
+  /// stay valid when the shards are re-dealt, and shards never share a
+  /// store.
   struct alignas(64) SlotStore {
     std::vector<Task> tasks;
     std::vector<std::uint32_t> free;
@@ -433,22 +440,19 @@ class Machine {
   /// entity id -> simulated node, precomputed (node_of costs two integer
   /// divisions; this table is hit once or more per event).
   std::vector<std::uint32_t> entity_node_;
-  /// Per-node event counters, cache-line padded: under parallel
-  /// execution each shard increments only its own node's counter.
+  /// Per-node event counters, cache-line padded: each shard increments
+  /// only its own nodes' counters.
   struct alignas(64) NodeSeq {
     std::uint64_t next = 0;
   };
   std::vector<NodeSeq> node_seq_;
-  /// Node of the event being dispatched by the *serial* loop — the
-  /// serial mirror of the parallel engine's "executing shard", so both
-  /// assign identical composite keys.
-  std::uint32_t current_node_ = 0;
-  bool running_ = false;  // inside the serial run() loop
   unsigned threads_ = 1;
-  std::unique_ptr<ParallelState> par_;  // lazily built by run_parallel
+  /// One shard per host thread of the latest run (persisting between
+  /// runs), and the shard that owns each node.
+  std::vector<Shard> shards_;
+  std::vector<std::uint32_t> shard_of_node_;
   /// The shard the calling host thread is executing (null outside
-  /// parallel run()); routes pushes and stat updates to shard-local
-  /// state.
+  /// run()); routes pushes and stat updates to shard-local state.
   static thread_local Shard* tls_shard_;
   IdleHandlerId next_idle_handler_id_ = 1;
   SimTime current_time_ = 0.0;
@@ -461,8 +465,7 @@ class Machine {
   std::uint64_t window_merges_ = 0;
   unsigned last_threads_used_ = 1;
   std::uint64_t ready_tasks_ = 0;  // tasks waiting in PE fifos
-  RunStats* active_stats_ = nullptr;
-  SpanHook span_hook_;
+  Tracer* tracer_ = nullptr;
 
   obs::Registry* registry_ = nullptr;
   std::unique_ptr<obs::RuntimeCounters> obs_;  // valid iff registry_

@@ -51,8 +51,8 @@ bool Tracer::write_csv(const std::string& path) const {
     std::fprintf(f, "%u,%.3f,%.3f,%s\n", span.pe, span.start_us,
                  span.end_us, kind);
   }
-  std::fclose(f);
-  return true;
+  const bool write_failed = std::ferror(f) != 0;
+  return std::fclose(f) == 0 && !write_failed;
 }
 
 std::string Tracer::utilization_art(std::uint32_t num_pes,
@@ -74,14 +74,6 @@ std::string Tracer::utilization_art(std::uint32_t num_pes,
     art += "|\n";
   }
   return art;
-}
-
-void attach_tracer(Machine& machine, Tracer& tracer) {
-  machine.set_span_hook(
-      [&tracer](PeId pe, SimTime start, SimTime end, bool was_idle) {
-        tracer.record(pe, start, end,
-                      was_idle ? SpanKind::kIdlePoll : SpanKind::kTask);
-      });
 }
 
 }  // namespace acic::runtime

@@ -1,9 +1,10 @@
 #pragma once
 // Execution tracing — the simulator's analogue of Charm++'s Projections
-// performance-analysis tool.  When attached to a Machine, the tracer
-// records one span per executed task and idle poll: (pe, start, end,
-// kind).  Application code can add *named* spans with the ScopedSpan
-// RAII guard (src/server/ wraps its front-end handlers this way).
+// performance-analysis tool.  Attached with Machine::set_tracer, the
+// tracer records one span per executed task and idle poll: (pe, start,
+// end, kind).  Application code can add *named* spans with the
+// ScopedSpan RAII guard, passing the machine's tracer() (src/server/
+// wraps its front-end handlers this way).
 // Traces can be summarized into per-PE utilization timelines (busy
 // fraction per time bin), dumped to CSV for external plotting, or
 // exported as Perfetto-loadable Chrome trace JSON together with a
@@ -92,10 +93,6 @@ class Tracer {
   std::size_t capacity_ = 0;  // 0 = unbounded
   std::uint64_t dropped_ = 0;
 };
-
-/// Installs span recording on `machine` (wraps task execution
-/// accounting).  The tracer must outlive the machine's run() calls.
-void attach_tracer(Machine& machine, Tracer& tracer);
 
 /// RAII guard that records one named span over its own lifetime: the
 /// span runs from construction to destruction in the PE's simulated

@@ -68,6 +68,8 @@ QueryService::QueryService(runtime::Machine& machine,
                            const graph::Partition1D& partition,
                            ServiceConfig config)
     : machine_(machine),
+      registry_(machine.registry()),
+      tracer_(machine.tracer()),
       owned_graph_(std::move(owned)),
       dynamic_(owned_graph_ != nullptr ? owned_graph_.get() : external),
       partition_(partition),
@@ -95,8 +97,8 @@ void QueryService::define_counters() {
                   "batch size 0 would admit nothing");
   ACIC_ASSERT(config_.frontend_pe < machine_.num_pes());
 
-  if (config_.registry != nullptr) {
-    obs::Registry& reg = *config_.registry;
+  if (registry_ != nullptr) {
+    obs::Registry& reg = *registry_;
     obs_submitted_ = reg.counter("server/queries_submitted");
     obs_completed_ = reg.counter("server/completed");
     obs_cache_hits_ = reg.counter("server/cache_hits");
@@ -123,13 +125,6 @@ void QueryService::define_counters() {
           reg.counter("server/recompute_queries", true);
       obs_stale_dropped_ = reg.counter("server/stale_results_dropped", true);
       obs_subtree_size_ = reg.series("server/repair_subtree_size");
-    }
-    // One attachment covers the whole serving run: machine runtime/net
-    // counters, every engine's introspection stream, and the service's
-    // own counters land in the same registry.
-    machine_.set_registry(config_.registry);
-    if (config_.engine.registry == nullptr) {
-      config_.engine.registry = config_.registry;
     }
   }
 }
@@ -161,9 +156,9 @@ void QueryService::submit(const std::vector<Query>& queries) {
                     "(see WorkloadConfig::first_id)");
     pending_records_.push_back(record);
     ++submitted_;
-    if (config_.registry != nullptr) {
-      config_.registry->add(obs_submitted_, config_.frontend_pe, 1,
-                            machine_.current_time());
+    if (registry_ != nullptr) {
+      registry_->add(obs_submitted_, config_.frontend_pe, 1,
+                     machine_.current_time());
     }
     machine_.schedule_at(query.arrival_us, config_.frontend_pe,
                          [this, index](runtime::Pe& pe) {
@@ -185,15 +180,14 @@ void QueryService::submit_mutations(const std::vector<MutationEvent>& events) {
 
 void QueryService::apply_mutations(runtime::Pe& pe,
                                    const dynamic::MutationBatch& batch) {
-  const runtime::ScopedSpan span(config_.tracer, pe, "server/mutate");
+  const runtime::ScopedSpan span(tracer_, pe, "server/mutate");
   const auto before = dynamic_->snapshot_ptr();
   const dynamic::ApplyStats stats = dynamic_->apply(batch);
   mutations_applied_ += stats.applied();
   pe.charge(config_.dynamics.mutation_apply_cost_us *
             static_cast<double>(stats.applied()));
-  if (config_.registry != nullptr && stats.applied() > 0) {
-    config_.registry->add(obs_mutations_, pe.id(), stats.applied(),
-                          pe.now());
+  if (registry_ != nullptr && stats.applied() > 0) {
+    registry_->add(obs_mutations_, pe.id(), stats.applied(), pe.now());
   }
   if (stats.applied() == 0) return;
 
@@ -220,12 +214,12 @@ void QueryService::apply_mutations(runtime::Pe& pe,
     state.epoch = before->epoch;
     state.snap = before;
     cache_.invalidate(source, &state.dist);
-    if (config_.registry != nullptr) {
+    if (registry_ != nullptr) {
       // Attribute to the partition block owning the mutated edge's head:
       // node/process rollups of this counter are the per-region eviction
       // breakdown.
-      config_.registry->add(obs_invalidations_,
-                            partition_.owner(trigger->dst), 1, pe.now());
+      registry_->add(obs_invalidations_,
+                     partition_.owner(trigger->dst), 1, pe.now());
     }
     park_stale_state(source, std::move(state));
   }
@@ -235,9 +229,9 @@ void QueryService::apply_mutations(runtime::Pe& pe,
   // (exactness preserved, guidance weakens) until refreshed.
   if (landmarks_index_ != nullptr) {
     const std::size_t newly = landmarks_index_->invalidate(deltas);
-    if (config_.registry != nullptr && newly > 0) {
-      config_.registry->add(obs_rows_invalidated_, pe.id(),
-                            static_cast<std::uint64_t>(newly), pe.now());
+    if (registry_ != nullptr && newly > 0) {
+      registry_->add(obs_rows_invalidated_, pe.id(),
+                     static_cast<std::uint64_t>(newly), pe.now());
     }
     if (landmarks_index_->invalid_rows() > 0 &&
         landmarks_index_->invalid_fraction() >=
@@ -247,10 +241,10 @@ void QueryService::apply_mutations(runtime::Pe& pe,
           landmarks_index_->refresh(snap->csr, snap->reverse);
       pe.charge(config_.landmarks.refresh_cost_us *
                 static_cast<double>(refreshed));
-      if (config_.registry != nullptr && refreshed > 0) {
-        config_.registry->add(obs_rows_refreshed_, pe.id(),
-                              static_cast<std::uint64_t>(refreshed),
-                              pe.now());
+      if (registry_ != nullptr && refreshed > 0) {
+        registry_->add(obs_rows_refreshed_, pe.id(),
+                       static_cast<std::uint64_t>(refreshed),
+                       pe.now());
       }
     }
   }
@@ -318,7 +312,7 @@ bool QueryService::serve_p2p_frontend(runtime::Pe& pe,
 }
 
 void QueryService::on_arrival(runtime::Pe& pe, std::size_t record_index) {
-  const runtime::ScopedSpan span(config_.tracer, pe, "server/arrival");
+  const runtime::ScopedSpan span(tracer_, pe, "server/arrival");
   QueryRecord& record = pending_records_[record_index];
   // Front-end cache check: the one counted lookup this query makes.
   pe.charge(config_.cache_lookup_cost_us);
@@ -328,9 +322,9 @@ void QueryService::on_arrival(runtime::Pe& pe, std::size_t record_index) {
     sample_queue(pe.now());
     return;
   }
-  if (config_.registry != nullptr && owned_graph_ == nullptr &&
+  if (registry_ != nullptr && owned_graph_ == nullptr &&
       cache_.stats().stale_hits_prevented > prevented_before) {
-    config_.registry->add(obs_stale_prevented_, pe.id(), 1, pe.now());
+    registry_->add(obs_stale_prevented_, pe.id(), 1, pe.now());
   }
   if (record.mode == ResultMode::kPointToPoint &&
       serve_p2p_frontend(pe, record_index)) {
@@ -418,9 +412,9 @@ bool QueryService::start_engine(runtime::Pe& pe, const Pending& pending) {
         dynamic::compute_parents(*stale.snap, pending.source, state.dist);
     const dynamic::RepairPlan plan = dynamic::plan_repair(
         *inflight.snap, state, dynamic_->applied_since(stale.epoch));
-    if (config_.registry != nullptr) {
-      config_.registry->append(obs_subtree_size_, pe.now(),
-                               static_cast<double>(plan.affected.size()));
+    if (registry_ != nullptr) {
+      registry_->append(obs_subtree_size_, pe.now(),
+                        static_cast<double>(plan.affected.size()));
     }
 
     if (plan.touches_nothing()) {
@@ -429,8 +423,8 @@ bool QueryService::start_engine(runtime::Pe& pe, const Pending& pending) {
       // the parked answer is exact for the current epoch.  Serve it
       // with no engine at all.
       record.repaired = true;
-      if (config_.registry != nullptr) {
-        config_.registry->add(obs_repair_queries_, pe.id(), 1, pe.now());
+      if (registry_ != nullptr) {
+        registry_->add(obs_repair_queries_, pe.id(), 1, pe.now());
       }
       complete_record(pe, pending.record_index, ServeTier::kRepairFree,
                       &state.dist);
@@ -446,8 +440,8 @@ bool QueryService::start_engine(runtime::Pe& pe, const Pending& pending) {
       record.repaired = true;
       options.warm_dist = &plan.warm_dist;  // copied by the constructor
       options.seeds = plan.seeds;
-      if (config_.registry != nullptr) {
-        config_.registry->add(obs_repair_queries_, pe.id(), 1, pe.now());
+      if (registry_ != nullptr) {
+        registry_->add(obs_repair_queries_, pe.id(), 1, pe.now());
       }
       inflight.engine = std::make_unique<core::AcicEngine>(
           machine_, inflight.snap->csr, partition_, pending.source,
@@ -458,8 +452,8 @@ bool QueryService::start_engine(runtime::Pe& pe, const Pending& pending) {
     // Repair would touch most of the graph: fall through to a cold run.
   }
 
-  if (config_.registry != nullptr && owned_graph_ == nullptr) {
-    config_.registry->add(obs_recompute_queries_, pe.id(), 1, pe.now());
+  if (registry_ != nullptr && owned_graph_ == nullptr) {
+    registry_->add(obs_recompute_queries_, pe.id(), 1, pe.now());
   }
   inflight.engine = std::make_unique<core::AcicEngine>(
       machine_, inflight.snap->csr, partition_, pending.source,
@@ -501,10 +495,10 @@ void QueryService::start_batch(runtime::Pe& pe,
   };
 
   ++batches_started_;
-  if (config_.registry != nullptr) {
-    config_.registry->add(obs_batches_, pe.id(), 1, pe.now());
-    config_.registry->add(obs_batched_queries_, pe.id(),
-                          inflight.members.size(), pe.now());
+  if (registry_ != nullptr) {
+    registry_->add(obs_batches_, pe.id(), 1, pe.now());
+    registry_->add(obs_batched_queries_, pe.id(),
+                   inflight.members.size(), pe.now());
   }
   inflight.engine = std::make_unique<core::AcicEngine>(
       machine_, inflight.snap->csr, partition_, inflight.lane_sources[0],
@@ -513,7 +507,7 @@ void QueryService::start_batch(runtime::Pe& pe,
 }
 
 void QueryService::on_engine_complete(runtime::Pe& pe, std::uint64_t key) {
-  const runtime::ScopedSpan span(config_.tracer, pe, "server/complete");
+  const runtime::ScopedSpan span(tracer_, pe, "server/complete");
   const auto it =
       std::find_if(running_.begin(), running_.end(),
                    [key](const InFlight& f) { return f.key == key; });
@@ -547,8 +541,8 @@ void QueryService::on_engine_complete(runtime::Pe& pe, std::uint64_t key) {
       // epoch (served as such) but caching them would poison
       // current-epoch hits.
       ++stale_results_dropped_;
-      if (config_.registry != nullptr) {
-        config_.registry->add(obs_stale_dropped_, pe.id(), 1, pe.now());
+      if (registry_ != nullptr) {
+        registry_->add(obs_stale_dropped_, pe.id(), 1, pe.now());
       }
     }
   }
@@ -580,17 +574,17 @@ void QueryService::complete_record(runtime::Pe& pe,
           QueryResult{ResultMode::kFullDistances, *dist, graph::kInfDist};
     }
   }
-  if (config_.registry != nullptr) {
-    config_.registry->add(obs_completed_, pe.id(), 1, pe.now());
+  if (registry_ != nullptr) {
+    registry_->add(obs_completed_, pe.id(), 1, pe.now());
     switch (tier) {
       case ServeTier::kCache:
-        config_.registry->add(obs_cache_hits_, pe.id(), 1, pe.now());
+        registry_->add(obs_cache_hits_, pe.id(), 1, pe.now());
         break;
       case ServeTier::kLandmark:
-        config_.registry->add(obs_landmark_exact_, pe.id(), 1, pe.now());
+        registry_->add(obs_landmark_exact_, pe.id(), 1, pe.now());
         break;
       case ServeTier::kGoalDirected:
-        config_.registry->add(obs_goal_directed_, pe.id(), 1, pe.now());
+        registry_->add(obs_goal_directed_, pe.id(), 1, pe.now());
         break;
       default:
         break;
@@ -603,11 +597,11 @@ void QueryService::sample_queue(runtime::SimTime time_us) {
   metrics_.sample_queue(time_us,
                         static_cast<std::uint32_t>(wait_queue_.size()),
                         static_cast<std::uint32_t>(running_.size()));
-  if (config_.registry != nullptr) {
-    config_.registry->append(obs_wait_depth_, time_us,
-                             static_cast<double>(wait_queue_.size()));
-    config_.registry->append(obs_running_, time_us,
-                             static_cast<double>(running_.size()));
+  if (registry_ != nullptr) {
+    registry_->append(obs_wait_depth_, time_us,
+                      static_cast<double>(wait_queue_.size()));
+    registry_->append(obs_running_, time_us,
+                      static_cast<double>(running_.size()));
   }
 }
 

@@ -81,6 +81,8 @@
 //   * results finishing against an epoch older than current are served
 //     but not cached (stale_results_dropped counts them).
 //
+// Observability is the machine's: attach a registry and tracer with
+// Machine::set_registry / set_tracer before constructing the service.
 // Counters (registry): "server/queries_submitted", "server/completed",
 // "server/cache_hits", "server/batches_started",
 // "server/batched_queries", "server/landmark_exact",
@@ -89,7 +91,10 @@
 // "server/recompute_queries", "server/stale_results_dropped",
 // "cache/invalidations" (attributed to the partition block owning the
 // mutated edge head), "cache/stale_hits_prevented", and
-// "landmarks/rows_invalidated" / "landmarks/rows_refreshed".
+// "landmarks/rows_invalidated" / "landmarks/rows_refreshed".  Front-end
+// handlers (arrival, mutation, completion) record named spans on the
+// tracer; for long workloads give it a capacity bound
+// (Tracer::set_capacity).
 
 #include <cstdint>
 #include <memory>
@@ -178,15 +183,6 @@ struct ServiceConfig {
   BatchPolicy batching;
   LandmarkPolicy landmarks;
   DynamicPolicy dynamics;
-
-  /// Optional observability registry (see the counter list in the file
-  /// comment); propagated into every engine.  Must outlive the service.
-  obs::Registry* registry = nullptr;
-  /// Optional tracer: front-end handlers (arrival, completion) record
-  /// named spans via runtime::ScopedSpan.  For long workloads give the
-  /// tracer a capacity bound (Tracer::set_capacity).  Must outlive the
-  /// service.
-  runtime::Tracer* tracer = nullptr;
 };
 
 /// Typed result of one completed query, addressable by id.
@@ -270,10 +266,6 @@ class QueryService {
     return landmarks_index_.get();
   }
 
-  /// The registry the service publishes into (config.registry; nullptr
-  /// when observability is off).
-  obs::Registry* registry_view() const { return config_.registry; }
-
  private:
   struct Pending {
     std::uint64_t id = 0;
@@ -339,6 +331,9 @@ class QueryService {
   const graph::Csr& graph_view() const { return dynamic_->csr(); }
 
   runtime::Machine& machine_;
+  /// The machine's observers, read at construction (null = off).
+  obs::Registry* const registry_;
+  runtime::Tracer* const tracer_;
   /// Static constructor: the service-owned wrapper graph.  Null when
   /// the caller provided the DynamicGraph (mutations allowed).
   std::unique_ptr<dynamic::DynamicGraph> owned_graph_;
@@ -376,7 +371,7 @@ class QueryService {
   std::unordered_map<graph::VertexId, StaleState> stale_states_;
   std::vector<graph::VertexId> stale_order_;  // front = oldest parked
 
-  // Registry handles; valid iff config_.registry != nullptr.
+  // Registry handles; valid iff registry_ != nullptr.
   obs::CounterId obs_submitted_;
   obs::CounterId obs_completed_;
   obs::CounterId obs_cache_hits_;

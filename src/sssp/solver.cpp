@@ -34,14 +34,6 @@ double imbalance(const std::vector<runtime::SimTime>& busy) {
   return mean > 0.0 ? peak / mean : 0.0;
 }
 
-/// Propagates the run's registry into a tram config that does not
-/// already name one.
-tram::TramConfig with_registry(tram::TramConfig config,
-                               obs::Registry* registry) {
-  if (config.registry == nullptr) config.registry = registry;
-  return config;
-}
-
 SolverRun run_acic(runtime::Machine& machine, const graph::Csr& csr,
                    graph::VertexId source, const SolverOptions& opts) {
   const auto partition =
@@ -50,7 +42,6 @@ SolverRun run_acic(runtime::Machine& machine, const graph::Csr& csr,
           : graph::Partition1D::block(csr.num_vertices(),
                                       machine.num_pes());
   core::AcicConfig config = opts.acic;
-  if (config.registry == nullptr) config.registry = opts.registry;
   if (config.frontier_feed == nullptr) {
     config.frontier_feed = opts.storage.frontier_feed;
   }
@@ -77,7 +68,6 @@ SolverRun run_delta(runtime::Machine& machine, const graph::Csr& csr,
                     graph::VertexId source, const SolverOptions& opts,
                     bool two_d) {
   baselines::DeltaConfig config = opts.delta;
-  config.tram = with_registry(config.tram, opts.registry);
   if (config.frontier_feed == nullptr) {
     config.frontier_feed = opts.storage.frontier_feed;
   }
@@ -112,9 +102,7 @@ SolverRun run_kla(runtime::Machine& machine, const graph::Csr& csr,
                   graph::VertexId source, const SolverOptions& opts) {
   const auto partition =
       graph::Partition1D::block(csr.num_vertices(), machine.num_pes());
-  baselines::KlaConfig config = opts.kla;
-  config.tram = with_registry(config.tram, opts.registry);
-  auto run = baselines::kla_sssp(machine, csr, partition, source, config,
+  auto run = baselines::kla_sssp(machine, csr, partition, source, opts.kla,
                                  opts.time_limit_us);
   SolverRun out;
   out.sssp = std::move(run.sssp);
@@ -135,7 +123,6 @@ SolverRun run_dc(runtime::Machine& machine, const graph::Csr& csr,
       graph::Partition1D::block(csr.num_vertices(), machine.num_pes());
   baselines::DistributedControlConfig config = opts.dc;
   config.use_priority = use_priority;
-  config.tram = with_registry(config.tram, opts.registry);
   auto run = baselines::distributed_control_sssp(
       machine, csr, partition, source, config, opts.time_limit_us);
   SolverRun out;

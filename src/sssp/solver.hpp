@@ -75,9 +75,9 @@ struct SolverOptions {
   runtime::SimTime time_limit_us = runtime::kNoTimeLimit;
 
   /// Optional observability registry (src/obs/registry.hpp): attached
-  /// to the machine and propagated into the solver's tram/engine
-  /// configs, so one run emits runtime, tram and algorithm streams
-  /// without per-solver wiring.  Must outlive the run.
+  /// to the machine, where the solver's engine and trams find it, so
+  /// one run emits runtime, tram and algorithm streams without
+  /// per-solver wiring.  Must outlive the run.
   obs::Registry* registry = nullptr;
 
   /// Storage wiring for out-of-core graphs.  The CSR handed to

@@ -72,16 +72,6 @@ struct TramConfig {
   /// before low-distance ones).  Correctness must be order-independent;
   /// only wasted-work counts may change.
   bool debug_reverse_batches = false;
-
-  /// Optional observability registry.  When set, the tram publishes
-  /// "tram/*" counters (inserts, deliveries, aggregate messages, auto
-  /// vs manual flushes) and a "tram/flush_occupancy" series recording
-  /// buffer fill at every flush.  Families are shared by name, so
-  /// several tram instances (e.g. one per concurrent query) merge into
-  /// machine-wide totals.  Must outlive the tram.  A registry-attached
-  /// tram requires the serial engine (Machine::set_threads(1)): registry
-  /// publishing is not sharded per node.
-  obs::Registry* registry = nullptr;
 };
 
 struct TramStats {
@@ -97,6 +87,15 @@ struct TramStats {
 /// Aggregating channel for items of type T.  The delivery handler runs on
 /// the destination PE once per item, in buffer order.
 ///
+/// Observability: when the machine has a registry attached at
+/// construction, the tram publishes "tram/*" counters (inserts,
+/// deliveries, aggregate messages, auto vs manual flushes) and a
+/// "tram/flush_occupancy" series recording buffer fill at every flush.
+/// Families are shared by name, so several tram instances (e.g. one per
+/// concurrent query) merge into machine-wide totals.  Publishing is not
+/// sharded per node: it relies on an observed machine running as one
+/// shard.
+///
 /// `DeliverFn` defaults to std::function for call-site convenience; hot
 /// consumers (ACIC) pass a concrete functor type instead, so the per-item
 /// dispatch in deliver_batch inlines rather than going through type
@@ -110,7 +109,8 @@ class Tram {
       : machine_(machine),
         config_(config),
         deliver_(std::move(deliver)),
-        topo_(machine.topology()) {
+        topo_(machine.topology()),
+        registry_(machine.registry()) {
     const std::size_t sets = set_owned_by_pe()
                                  ? topo_.num_pes()
                                  : topo_.num_procs();
@@ -129,8 +129,8 @@ class Tram {
     insert_charge_us_ =
         config_.insert_cost_us +
         (set_owned_by_pe() ? 0.0 : config_.atomic_penalty_us);
-    if (config_.registry != nullptr) {
-      obs::Registry& reg = *config_.registry;
+    if (registry_ != nullptr) {
+      obs::Registry& reg = *registry_;
       obs_items_inserted_ = reg.counter("tram/items_inserted", true);
       obs_items_delivered_ = reg.counter("tram/items_delivered", true);
       obs_aggregate_messages_ =
@@ -159,13 +159,13 @@ class Tram {
     buffer.items.push_back(make_entry(dst_pe, item));
     NodeLocal& nl = node_[node_of_[src.id()]];
     ++nl.stats.items_inserted;
-    if (config_.registry != nullptr) [[unlikely]] {
-      config_.registry->add(obs_items_inserted_, src.id(), 1, src.now());
+    if (registry_ != nullptr) [[unlikely]] {
+      registry_->add(obs_items_inserted_, src.id(), 1, src.now());
     }
     if (buffer.items.size() >= config_.buffer_items) {
       ++nl.stats.auto_flushes;
-      if (config_.registry != nullptr) {
-        config_.registry->add(obs_auto_flushes_, src.id(), 1, src.now());
+      if (registry_ != nullptr) {
+        registry_->add(obs_auto_flushes_, src.id(), 1, src.now());
       }
       flush_buffer(src, set, dest);
     }
@@ -185,8 +185,8 @@ class Tram {
     NodeLocal& nl = node_[node_of_[pe.id()]];
     ++nl.stats.manual_flushes;
     if (!any) ++nl.stats.flushed_empty;
-    if (config_.registry != nullptr) {
-      config_.registry->add(obs_manual_flushes_, pe.id(), 1, pe.now());
+    if (registry_ != nullptr) {
+      registry_->add(obs_manual_flushes_, pe.id(), 1, pe.now());
     }
   }
 
@@ -337,12 +337,11 @@ class Tram {
       std::reverse(batch.begin(), batch.end());
     }
     ++nl.stats.aggregate_messages;
-    if (config_.registry != nullptr) {
-      config_.registry->add(obs_aggregate_messages_, src.id(), 1,
-                            src.now());
+    if (registry_ != nullptr) {
+      registry_->add(obs_aggregate_messages_, src.id(), 1, src.now());
       // Occupancy at flush: how full the buffer was relative to the
       // auto-flush threshold (1.0 = full, i.e. an automatic flush).
-      config_.registry->append(
+      registry_->append(
           obs_flush_occupancy_, src.now(),
           static_cast<double>(batch.size()) /
               static_cast<double>(config_.buffer_items));
@@ -425,7 +424,7 @@ class Tram {
     NodeLocal& nl = node_[node_of_[pe.id()]];
     // Steady-state fast path (no registry, no fault injection): one
     // charge and one handler call per item, nothing else in the loop.
-    if (config_.registry == nullptr &&
+    if (registry_ == nullptr &&
         config_.debug_duplicate_every == 0) [[likely]] {
       const runtime::SimTime cost = config_.deliver_cost_us;
       const std::size_t count = batch.size();
@@ -448,8 +447,8 @@ class Tram {
       ACIC_HOT_ASSERT(entry_target(entry) == pe.id());
       pe.charge(config_.deliver_cost_us);
       ++nl.stats.items_delivered;
-      if (config_.registry != nullptr) [[unlikely]] {
-        config_.registry->add(obs_items_delivered_, pe.id(), 1, pe.now());
+      if (registry_ != nullptr) [[unlikely]] {
+        registry_->add(obs_items_delivered_, pe.id(), 1, pe.now());
       }
       deliver_(pe, entry_item(entry));
       // Fault injection counts per receiving node (every node duplicates
@@ -472,6 +471,7 @@ class Tram {
   TramConfig config_;
   DeliverFn deliver_;
   const runtime::Topology& topo_;
+  obs::Registry* const registry_;  // the machine's, read at construction
   std::vector<Buffer> buffers_;  // flat [set * dests_ + dest]
   std::size_t dests_ = 0;
   std::vector<std::uint32_t> proc_of_;        // PeId -> process (by table)
@@ -479,7 +479,7 @@ class Tram {
   runtime::SimTime insert_charge_us_ = 0.0;   // per-insert CPU, mode-fixed
   std::vector<NodeLocal> node_;               // per-node mutable scratch
 
-  // Registry handles; valid iff config_.registry != nullptr.
+  // Registry handles; valid iff registry_ != nullptr.
   obs::CounterId obs_items_inserted_;
   obs::CounterId obs_items_delivered_;
   obs::CounterId obs_aggregate_messages_;

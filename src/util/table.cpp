@@ -66,8 +66,8 @@ bool Table::write_csv(const std::string& path) const {
   };
   write_row(headers_);
   for (const auto& row : rows_) write_row(row);
-  std::fclose(f);
-  return true;
+  const bool write_failed = std::ferror(f) != 0;
+  return std::fclose(f) == 0 && !write_failed;
 }
 
 }  // namespace acic::util

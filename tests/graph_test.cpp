@@ -248,6 +248,8 @@ TEST(Io, RoundTripPreservesEdges) {
   const EdgeList loaded = read_edge_list_csv(path, 64);
   EXPECT_EQ(original.edges(), loaded.edges());
   std::remove(path.c_str());
+  // Every write to /dev/full fails with ENOSPC once the buffer flushes.
+  EXPECT_FALSE(write_edge_list_csv(original, "/dev/full"));
 }
 
 TEST(Io, InfersVertexCount) {
@@ -278,6 +280,25 @@ TEST(Io, MalformedInputThrows) {
   std::fputs("garbage\n", f);
   std::fclose(f);
   EXPECT_THROW(read_edge_list_csv(path), std::runtime_error);
+  // Rows the CSR cannot hold: ids past VertexId (which would wrap onto
+  // small ids), negative ids, and weights validate_csr rejects.  Each
+  // fails naming its line.
+  for (const char* row : {"4294967296,1,1.0\n", "4294967297,3,1.0\n",
+                          "0,1,-2.5\n", "0,1,nan\n", "0,1,inf\n",
+                          "-1,1,1.0\n"}) {
+    SCOPED_TRACE(row);
+    f = std::fopen(path.c_str(), "w");
+    std::fputs("0,1,1.0\n", f);
+    std::fputs(row, f);
+    std::fclose(f);
+    try {
+      read_edge_list_csv(path);
+      ADD_FAILURE() << "row accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(path + ":2"), std::string::npos)
+          << e.what();
+    }
+  }
   std::remove(path.c_str());
   EXPECT_THROW(read_edge_list_csv("/nonexistent/file.csv"),
                std::runtime_error);

@@ -246,7 +246,7 @@ TEST(Tracer, ScopedSpanRecordsNamedSpan) {
   const Topology topo = Topology::tiny(2);
   Tracer tracer;
   Machine machine(topo);
-  acic::runtime::attach_tracer(machine, tracer);
+  machine.set_tracer(&tracer);
 
   machine.schedule_at(0.0, 0, [&tracer](Pe& pe) {
     const ScopedSpan span(&tracer, pe, "test/section");
@@ -287,7 +287,7 @@ TEST(ObsExport, ChromeTraceIsWellFormedAndMatchesCounters) {
   Registry registry(topo);
   Tracer tracer;
   Machine machine(topo);
-  acic::runtime::attach_tracer(machine, tracer);
+  machine.set_tracer(&tracer);
 
   acic::sssp::SolverOptions opts;
   opts.registry = &registry;
@@ -314,6 +314,20 @@ TEST(ObsExport, ChromeTraceIsWellFormedAndMatchesCounters) {
 
   const std::string path = ::testing::TempDir() + "obs_trace_test.json";
   ASSERT_TRUE(acic::obs::write_chrome_trace(path, topo, &tracer, &registry));
+  // Every write to /dev/full fails with ENOSPC once the buffer flushes;
+  // each exporter must report it, not only a failed open.
+  EXPECT_FALSE(
+      acic::obs::write_chrome_trace("/dev/full", topo, &tracer, &registry));
+  const std::string rollup = ::testing::TempDir() + "obs_rollup_test.csv";
+  for (const std::string& out : {rollup, std::string("/dev/full")}) {
+    const bool ok = out == rollup;
+    EXPECT_EQ(acic::obs::write_counters_csv(out, registry), ok) << out;
+    EXPECT_EQ(acic::obs::write_histogram_csv(out, registry,
+                                             "acic/update_histogram"),
+              ok)
+        << out;
+  }
+  std::remove(rollup.c_str());
   const std::string json = slurp(path);
   ASSERT_FALSE(json.empty());
 
@@ -359,6 +373,7 @@ TEST(ObsExport, TimeseriesCsvRoundTrips) {
 
   const std::string path = ::testing::TempDir() + "obs_series_test.csv";
   ASSERT_TRUE(acic::obs::write_timeseries_csv(path, registry));
+  EXPECT_FALSE(acic::obs::write_timeseries_csv("/dev/full", registry));
   const std::string csv = slurp(path);
   EXPECT_NE(csv.find("kind,name,time_us,value"), std::string::npos);
   EXPECT_NE(csv.find("counter,csv/count,"), std::string::npos);
@@ -377,14 +392,13 @@ TEST(ObsServer, ServiceMetricsMatchRegistry) {
   Tracer tracer;
   tracer.set_capacity(512);
   Machine machine(topo);
-  acic::runtime::attach_tracer(machine, tracer);
+  machine.set_tracer(&tracer);
+  machine.set_registry(&registry);
   const auto partition = acic::graph::Partition1D::block(
       csr.num_vertices(), machine.num_pes());
 
   acic::server::ServiceConfig config;
   config.cache_capacity = 16;
-  config.registry = &registry;
-  config.tracer = &tracer;
   QueryService service(machine, csr, partition, config);
 
   acic::server::WorkloadConfig wl;

@@ -1,14 +1,15 @@
-// Determinism contract of the parallel engine: Machine::set_threads is
+// Determinism contract of the windowed engine: Machine::set_threads is
 // a wall-clock knob, never a results knob.  Every registered solver must
 // produce bit-identical distances, simulated times, metrics and machine
 // totals at any thread count, and the window merge must break timestamp
-// ties exactly like the serial event queue.  The ParallelWindow suite
-// attacks the one-barrier window loop directly: a cross-node send
+// ties exactly like the one-thread (one-shard) run.  The ParallelWindow
+// suite attacks the one-barrier window loop directly: a cross-node send
 // landing exactly on the widened boundary, sparse traffic that must fit
 // in one window, mail crossing in every window (both mailbox
-// parities), many shards per thread, and runs stopped at time limits
-// and resumed on either loop.  The graph builders carry the same
-// contract for their thread parameter.
+// parities), cross-node traffic inside one shard, several nodes per
+// shard, and runs stopped at time limits and resumed at any thread
+// count.  The graph builders carry the same contract for their thread
+// parameter.
 
 #include <algorithm>
 #include <array>
@@ -223,7 +224,7 @@ TEST(ParallelWindow, CrossNodeArrivalExactlyOnWidenedBoundary) {
 
   const auto [serial_order, serial_end, serial_windows] = run_once(1);
   EXPECT_EQ(std::string(serial_order.begin(), serial_order.end()), "abrc");
-  EXPECT_EQ(serial_windows, 0u);  // serial loop runs no windows
+  EXPECT_EQ(serial_windows, 1u);  // a lone shard runs one window
   const auto [order, end, windows] = run_once(2);
   EXPECT_EQ(order, serial_order);
   EXPECT_EQ(end, serial_end);
@@ -315,12 +316,52 @@ TEST(ParallelWindow, MailboxParitiesAlternateEveryWindow) {
   }
 }
 
+// Cross-node traffic between two nodes of one shard never waits for a
+// window: the shard's own heap orders it.  One ball bounces 20 hops
+// between nodes 0 and 1 of a 4-node machine.  At 2 threads shard 0 owns
+// both nodes, so the whole run is one window with nothing to merge; at
+// 4 threads every hop crosses shards and waits for the next window, as
+// in the two-node parity test.  Both records equal the one-thread run.
+TEST(ParallelWindow, CrossNodeTrafficInsideOneShardNeedsNoWindow) {
+  constexpr int kHops = 20;
+  struct Ball {
+    std::vector<int>* rec;  // one record per node; PE p is node p
+    int hop;
+    void operator()(Pe& pe) const {
+      rec[pe.id()].push_back(hop);
+      if (hop < kHops) pe.send(1 - pe.id(), 0, Ball{rec, hop + 1});
+    }
+  };
+  auto run_once = [](unsigned threads) {
+    Machine machine(Topology{4, 1, 1}, wire4());
+    machine.set_threads(threads);
+    std::vector<int> rec[2];
+    machine.schedule_at(0.0, 0, Ball{rec, 0});
+    const RunStats stats = machine.run();
+    return std::tuple(rec[0], rec[1], stats.end_time_us, stats.windows,
+                      stats.window_merges);
+  };
+
+  const auto one = run_once(1);
+  EXPECT_EQ(std::get<0>(one).size() + std::get<1>(one).size(), kHops + 1u);
+  const auto two = run_once(2);
+  const auto four = run_once(4);
+  for (const auto* run : {&two, &four}) {
+    EXPECT_EQ(std::get<0>(*run), std::get<0>(one));
+    EXPECT_EQ(std::get<1>(*run), std::get<1>(one));
+    EXPECT_EQ(std::get<2>(*run), std::get<2>(one));
+  }
+  EXPECT_EQ(std::get<3>(two), 1u);
+  EXPECT_EQ(std::get<4>(two), 0u);
+  EXPECT_EQ(std::get<3>(four), kHops + 1u);
+  EXPECT_EQ(std::get<4>(four), static_cast<std::uint64_t>(kHops));
+}
+
 // Many more nodes than threads with a skewed R-MAT degree distribution:
-// each of the 4 threads owns a fixed range of 3 shards and runs them in
-// turn every window.  Results must stay bit-identical to serial, and
-// the clamp must report the requested thread count (12 nodes >= 4
-// threads).
-TEST(ParallelWindow, ManyShardsPerThreadMatchesSerial) {
+// each of the 4 shards owns a fixed range of 3 nodes in one heap.
+// Results must stay bit-identical to the one-thread run, and the clamp
+// must report the requested thread count (12 nodes >= 4 threads).
+TEST(ParallelWindow, TwelveNodesOnFourShardsMatchOneThread) {
   acic::stats::ExperimentSpec spec;
   spec.graph = acic::stats::GraphKind::kRmat;
   spec.scale = 9;
@@ -378,11 +419,11 @@ SlicedOutcome run_acic_driven(const Csr& csr, Drive drive) {
 
 // run(limit) may be called repeatedly at any thread count.  A run
 // stopped at a limit leaves tasks queued in PE FIFOs (as slot indices)
-// and mail in flight; the next run — on either loop — must pick both up
-// exactly.  Slices of 0.7 us (shorter than the 3 us lookahead), 3 us
-// (exactly one lookahead), 5.5 us and 1000 us at 2 and 4 threads, plus
-// single switches between the serial and parallel loops mid-run and
-// loops alternating every slice, must all reproduce one serial run().
+// and mail in flight; the next run — at any thread count — must pick
+// both up exactly.  Slices of 0.7 us (shorter than the 3 us lookahead),
+// 3 us (exactly one lookahead), 5.5 us and 1000 us at 2 and 4 threads,
+// plus single thread-count switches mid-run and counts alternating
+// every slice, must all reproduce one one-thread run().
 TEST(ParallelWindow, TimeSlicedRunsMatchOneSerialRun) {
   GenParams params;
   params.num_vertices = 1u << 11;

@@ -145,18 +145,20 @@ TEST(SolverRegistry, AttachingRegistryDoesNotPerturbRuns) {
     const SolverRun plain =
         acic::sssp::run_solver(name, plain_machine, csr, 0);
 
+    // An observed machine runs one shard whatever its thread count.
     Registry registry(topo);
     Machine observed_machine(topo);
+    observed_machine.set_threads(4);
     SolverOptions opts;
     opts.registry = &registry;
     const SolverRun observed =
         acic::sssp::run_solver(name, observed_machine, csr, 0, opts);
+    EXPECT_EQ(observed_machine.last_threads_used(), 1u) << name;
 
-    // Neutrality holds across thread counts too: a parallel run
-    // (registry-less — an attached registry forces the serial loop)
-    // computes the same schedule the observed run saw.
+    // Neutrality holds across thread counts too: the unobserved
+    // 4-thread run computes the same schedule the observed run saw.
     Machine parallel_machine(topo);
-    parallel_machine.set_threads(2);
+    parallel_machine.set_threads(4);
     const SolverRun parallel =
         acic::sssp::run_solver(name, parallel_machine, csr, 0);
     ASSERT_EQ(parallel.sssp.dist, plain.sssp.dist) << name;
@@ -164,6 +166,14 @@ TEST(SolverRegistry, AttachingRegistryDoesNotPerturbRuns) {
                      plain.sssp.metrics.sim_time_us)
         << name;
     EXPECT_EQ(parallel.telemetry.cycles, plain.telemetry.cycles) << name;
+    ASSERT_EQ(observed.sssp.dist, parallel.sssp.dist) << name;
+    EXPECT_EQ(observed.sssp.metrics.sim_time_us,
+              parallel.sssp.metrics.sim_time_us)
+        << name;
+    EXPECT_EQ(observed.sssp.metrics.updates_created,
+              parallel.sssp.metrics.updates_created)
+        << name;
+    EXPECT_EQ(observed.telemetry.cycles, parallel.telemetry.cycles) << name;
 
     ASSERT_EQ(observed.sssp.dist.size(), plain.sssp.dist.size()) << name;
     for (std::size_t v = 0; v < plain.sssp.dist.size(); ++v) {

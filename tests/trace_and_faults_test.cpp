@@ -27,7 +27,7 @@ using acic::runtime::Tracer;
 TEST(Tracer, RecordsTaskSpans) {
   Machine machine(Topology::tiny(2));
   Tracer tracer;
-  acic::runtime::attach_tracer(machine, tracer);
+  machine.set_tracer(&tracer);
   machine.schedule_at(0.0, 0, [](Pe& pe) { pe.charge(5.0); });
   machine.schedule_at(0.0, 1, [](Pe& pe) { pe.charge(3.0); });
   machine.run();
@@ -40,7 +40,7 @@ TEST(Tracer, RecordsTaskSpans) {
 TEST(Tracer, RecordsIdlePolls) {
   Machine machine(Topology::tiny(1));
   Tracer tracer;
-  acic::runtime::attach_tracer(machine, tracer);
+  machine.set_tracer(&tracer);
   int polls = 0;
   machine.add_idle_handler(0, [&polls](Pe& pe) {
     if (polls++ == 0) {
@@ -63,7 +63,7 @@ TEST(Tracer, RecordsIdlePolls) {
 TEST(Tracer, UtilizationBinsAreBounded) {
   Machine machine(Topology::tiny(2));
   Tracer tracer;
-  acic::runtime::attach_tracer(machine, tracer);
+  machine.set_tracer(&tracer);
   machine.schedule_at(0.0, 0, [](Pe& pe) { pe.charge(100.0); });
   machine.run();
   const auto util = tracer.utilization(2, 100.0, 10);
@@ -90,7 +90,7 @@ TEST(Tracer, WriteCsvRoundTrip) {
   // with the original values.
   Machine machine(Topology::tiny(2));
   Tracer tracer;
-  acic::runtime::attach_tracer(machine, tracer);
+  machine.set_tracer(&tracer);
   machine.schedule_at(0.0, 0, [](Pe& pe) { pe.charge(5.0); });
   machine.schedule_at(2.0, 1, [](Pe& pe) { pe.charge(1.5); });
   machine.run();
@@ -131,6 +131,8 @@ TEST(Tracer, WriteCsvFailsOnBadPath) {
   Tracer tracer;
   tracer.record(0, 0.0, 1.0, SpanKind::kTask);
   EXPECT_FALSE(tracer.write_csv("/nonexistent-dir/trace.csv"));
+  // Opens fine, but every write fails with ENOSPC.
+  EXPECT_FALSE(tracer.write_csv("/dev/full"));
 }
 
 TEST(Tracer, CsvAndArtOutputs) {
@@ -153,7 +155,7 @@ TEST(Tracer, AcicRunProducesPlausibleTimeline) {
   const Csr csr = acic::stats::build_graph(spec);
   Machine machine(Topology::tiny(4));
   Tracer tracer;
-  acic::runtime::attach_tracer(machine, tracer);
+  machine.set_tracer(&tracer);
   const Partition1D partition = Partition1D::block(csr.num_vertices(), 4);
   const auto run =
       acic::core::acic_sssp(machine, csr, partition, 0, {}, 60e6);

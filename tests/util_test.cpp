@@ -160,6 +160,8 @@ TEST(Table, WritesCsv) {
   EXPECT_STREQ(buf, "1,2\n");
   std::fclose(f);
   std::remove(path.c_str());
+  // Every write to /dev/full fails with ENOSPC once the buffer flushes.
+  EXPECT_FALSE(t.write_csv("/dev/full"));
 }
 
 TEST(Strformat, ProducesFormattedString) {
