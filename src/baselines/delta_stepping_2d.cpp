@@ -228,11 +228,12 @@ class Delta2DEngine {
         for (const Update& u : batch) apply(pe, u);
         continue;
       }
-      pe.send(owner, wire_bytes(batch.size()),
-              [this, batch = std::move(batch)](Pe& dst) {
-                pes_[dst.id()].recv += batch.size();
-                for (const Update& u : batch) apply(dst, u);
-              });
+      // Sized first: the capture below moves `batch` out.
+      const std::size_t bytes = wire_bytes(batch.size());
+      pe.send(owner, bytes, [this, batch = std::move(batch)](Pe& dst) {
+        pes_[dst.id()].recv += batch.size();
+        for (const Update& u : batch) apply(dst, u);
+      });
     }
   }
 

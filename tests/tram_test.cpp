@@ -7,7 +7,11 @@
 #include <map>
 #include <vector>
 
+#include "src/baselines/delta_stepping_2d.hpp"
+#include "src/graph/csr.hpp"
+#include "src/graph/partition2d.hpp"
 #include "src/runtime/machine.hpp"
+#include "src/sssp/update.hpp"
 #include "src/tram/tram.hpp"
 
 namespace {
@@ -272,6 +276,59 @@ TEST(Tram, WwModeSendsDirectlyToPe) {
         machine.pe_busy_us(machine.topology().comm_thread_of_proc(proc)),
         0.0);
   }
+}
+
+TEST(Tram, AggregateBytesCountItems) {
+  // Ten 16-byte items from PE 0 to PE 2 on the other node: one 32-byte
+  // envelope plus 160 payload bytes per hop.  Process-destined modes take
+  // two hops (sender to the comm thread, comm thread to the worker).
+  struct Case {
+    Aggregation mode;
+    std::uint64_t bytes;
+  };
+  for (const Case c : {Case{Aggregation::kWW, 192}, Case{Aggregation::kPW, 192},
+                       Case{Aggregation::kWP, 384},
+                       Case{Aggregation::kPP, 384}}) {
+    Machine machine(Topology{2, 1, 2});
+    TramConfig config;
+    config.mode = c.mode;
+    config.item_bytes = 16;
+    Tram<Item> tram(machine, config, [](Pe&, const Item&) {});
+    machine.schedule_at(0.0, 0, [&](Pe& pe) {
+      for (int i = 0; i < 10; ++i) tram.insert(pe, 2, Item{2, i});
+      tram.flush_all(pe);
+    });
+    machine.run();
+    EXPECT_EQ(machine.total_bytes_sent(), c.bytes)
+        << acic::tram::aggregation_name(c.mode);
+  }
+
+  // delta_stepping_2d on a 1x2 grid: the source's out-edges all lead into
+  // the other cell's vertex group, so its relaxation ships exactly one
+  // candidate batch along the row.  Ten more edges make that batch ten
+  // wire updates longer and change nothing else.
+  const auto delta_2d_bytes = [](acic::graph::VertexId fanout,
+                                 std::uint64_t* messages) {
+    acic::graph::EdgeList list(24, {});
+    for (acic::graph::VertexId v = 0; v < fanout; ++v) {
+      list.add(0, 12 + v, 1.0);
+    }
+    const acic::graph::Csr csr = acic::graph::Csr::from_edge_list(list);
+    Machine machine(Topology{1, 1, 2});
+    const acic::graph::Partition2D partition(csr, 1, 2);
+    acic::baselines::DeltaConfig config;
+    config.delta = 4.0;
+    const auto run = acic::baselines::delta_stepping_2d(
+        machine, csr, partition, 0, config);
+    *messages = run.sssp.metrics.network_messages;
+    return run.sssp.metrics.network_bytes;
+  };
+  std::uint64_t messages_1 = 0;
+  std::uint64_t messages_11 = 0;
+  const std::uint64_t bytes_1 = delta_2d_bytes(1, &messages_1);
+  const std::uint64_t bytes_11 = delta_2d_bytes(11, &messages_11);
+  EXPECT_EQ(messages_1, messages_11);
+  EXPECT_EQ(bytes_11 - bytes_1, 10 * acic::sssp::kUpdateWireBytes);
 }
 
 }  // namespace
