@@ -29,6 +29,7 @@ class UpdateHistogram {
       : width_(bucket_width > 0.0
                    ? bucket_width
                    : default_width(num_vertices)),
+        limit_(static_cast<double>(num_buckets)),
         counts_(num_buckets, 0) {
     ACIC_ASSERT(num_buckets > 0);
     ACIC_ASSERT(width_ > 0.0);
@@ -43,10 +44,15 @@ class UpdateHistogram {
   double bucket_width() const { return width_; }
 
   /// Bucket index of distance d; the last bucket absorbs overflow.
+  /// Comparing the quotient against the bucket count before converting
+  /// gives the same index as clamping the converted quotient (for q >= 0
+  /// and an integer count, trunc(q) < count exactly when q < count),
+  /// and needs no unsigned conversion of quotients up to 2^64.
   std::size_t bucket_of(graph::Dist d) const {
     ACIC_HOT_ASSERT(d >= 0.0);
-    const auto b = static_cast<std::size_t>(d / width_);
-    return b < counts_.size() ? b : counts_.size() - 1;
+    const double q = d / width_;
+    return q < limit_ ? static_cast<std::size_t>(static_cast<std::int64_t>(q))
+                      : counts_.size() - 1;
   }
 
   void increment(std::size_t bucket) {
@@ -60,15 +66,19 @@ class UpdateHistogram {
 
   const std::vector<std::int64_t>& counts() const { return counts_; }
 
-  /// Appends the counts onto a reduction payload.
+  /// Appends the counts up to the highest non-zero bucket onto a
+  /// reduction payload (the buckets above it are zero).
   void append_to(std::vector<double>* payload) const {
-    for (const std::int64_t c : counts_) {
-      payload->push_back(static_cast<double>(c));
+    std::size_t end = counts_.size();
+    while (end > 0 && counts_[end - 1] == 0) --end;
+    for (std::size_t b = 0; b < end; ++b) {
+      payload->push_back(static_cast<double>(counts_[b]));
     }
   }
 
  private:
   double width_;
+  double limit_;  // num_buckets as a double
   std::vector<std::int64_t> counts_;
 };
 

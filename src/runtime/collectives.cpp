@@ -61,9 +61,14 @@ Reducer::Reducer(Machine& machine, std::size_t width, RootHandler on_root,
 
 std::vector<double> Reducer::acquire_payload(const Pe& pe) {
   auto& pool = pools_[node_of_[pe.id()]].pool;
-  if (pool.empty()) return {};
-  std::vector<double> v = std::move(pool.back());
+  std::vector<double> v;
+  if (pool.empty()) {
+    v.reserve(width_);
+    return v;
+  }
+  v = std::move(pool.back());
   pool.pop_back();
+  v.clear();
   return v;
 }
 
@@ -82,53 +87,60 @@ std::uint32_t Reducer::num_children(PeId pe) const {
 }
 
 void Reducer::contribute(Pe& pe, const std::vector<double>& value) {
-  ACIC_ASSERT_MSG(value.size() == width_,
-                  "contribution width must match the Reducer width");
+  ACIC_ASSERT_MSG(value.size() <= width_,
+                  "contribution longer than the Reducer width");
   NodeState& node = nodes_[pe.id()];
   const std::uint64_t cycle = node.next_contribute_cycle++;
   absorb(pe, cycle, value);
 }
 
+void Reducer::extend(std::vector<double>& sum, std::size_t length) const {
+  for (std::size_t i = sum.size(); i < length; ++i) {
+    sum.push_back(identity_for(ops_[i]));
+  }
+}
+
 void Reducer::absorb(Pe& pe, std::uint64_t cycle,
                      const std::vector<double>& value) {
-  NodeState& node = nodes_[pe.id()];
-  PendingCycle& pending = node.pending[cycle];
-  if (pending.sum.empty()) {
-    pending.sum = acquire_payload(pe);
-    pending.sum.resize(width_);
-    for (std::size_t i = 0; i < width_; ++i) {
-      pending.sum[i] = identity_for(ops_[i]);
-    }
+  std::vector<PendingCycle>& pending = nodes_[pe.id()].pending;
+  std::size_t index = 0;
+  while (index < pending.size() && pending[index].cycle != cycle) ++index;
+  if (index == pending.size()) {
+    pending.push_back(PendingCycle{cycle, acquire_payload(pe), 0});
   }
+  std::vector<double>& sum = pending[index].sum;
+  const std::size_t n = value.size();
+  extend(sum, n);
   pe.charge(combine_cost_us_per_element_ * static_cast<double>(width_));
   if (all_sum_) {
     // Same operation, same order as the general loop below — just
     // without the per-slot op dispatch, so the compiler vectorizes it.
-    double* sum = pending.sum.data();
+    double* s = sum.data();
     const double* v = value.data();
-    for (std::size_t i = 0; i < width_; ++i) sum[i] += v[i];
+    for (std::size_t i = 0; i < n; ++i) s[i] += v[i];
   } else {
-    for (std::size_t i = 0; i < width_; ++i) {
-      pending.sum[i] = combine(ops_[i], pending.sum[i], value[i]);
+    for (std::size_t i = 0; i < n; ++i) {
+      sum[i] = combine(ops_[i], sum[i], value[i]);
     }
   }
-  ++pending.received;
-  forward_or_finish(pe, cycle);
+  ++pending[index].received;
+  forward_or_finish(pe, index);
 }
 
-void Reducer::forward_or_finish(Pe& pe, std::uint64_t cycle) {
-  NodeState& node = nodes_[pe.id()];
-  const auto it = node.pending.find(cycle);
-  ACIC_ASSERT(it != node.pending.end());
+void Reducer::forward_or_finish(Pe& pe, std::size_t index) {
+  std::vector<PendingCycle>& pending = nodes_[pe.id()].pending;
   // A subtree's sum is complete once this PE's own contribution plus one
   // message per child has arrived.
-  if (it->second.received < num_children(pe.id()) + 1) return;
+  if (pending[index].received < num_children(pe.id()) + 1) return;
 
-  std::vector<double> sum = std::move(it->second.sum);
-  node.pending.erase(it);
+  const std::uint64_t cycle = pending[index].cycle;
+  std::vector<double> sum = std::move(pending[index].sum);
+  std::swap(pending[index], pending.back());
+  pending.pop_back();
 
   if (pe.id() == 0) {
     ++cycles_completed_;
+    extend(sum, width_);
     const std::optional<std::vector<double>> payload =
         on_root_(pe, cycle, sum);
     recycle_payload(pe, std::move(sum));

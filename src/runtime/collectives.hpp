@@ -3,9 +3,11 @@
 // behind ACIC's "continuous concurrent introspection" (paper §I, §II.B).
 //
 // A Reducer owns a k-ary spanning tree over the PEs rooted at PE 0 (the
-// paper's root PE).  Each PE contributes a fixed-width vector per cycle;
-// interior tree nodes sum child contributions with their own and forward
-// the partial sum to their parent.  When the root completes a cycle it
+// paper's root PE).  Each PE contributes a vector of up to the Reducer's
+// width per cycle (missing tail slots are the identity, so a contribution
+// can stop at its last non-identity slot); interior tree nodes sum child
+// contributions with their own and forward the partial sum to their
+// parent.  When the root completes a cycle it
 // invokes the root handler, which may return a payload to broadcast back
 // down the same tree; every PE's broadcast handler then runs.  Cycles are
 // pipelined: a PE may contribute to cycle n+1 before cycle n's broadcast
@@ -17,7 +19,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -56,10 +57,19 @@ class Reducer {
   /// Contributes this PE's vector for its next cycle.  Must be called at
   /// most once per cycle per PE; the Reducer tracks each PE's cycle
   /// counter internally.  Callable from inside a task on `pe`.
+  ///
+  /// `value` may be shorter than width(): the missing tail slots are the
+  /// identity of their op.  A partial sum is as long as its longest
+  /// contribution, and the root pads it to width() before the root
+  /// handler runs.  Simulated costs are those of a full-width vector.
+  /// For kSum slots holding integer counts the result is bit-identical
+  /// to zero-padded contributions: the skipped additions are of +0.0,
+  /// and no such sum is ever -0.0.
   void contribute(Pe& pe, const std::vector<double>& value);
 
   /// Per-PE CPU cost of combining one contribution (models the summation
-  /// loop the paper's PEs execute during a reduction).
+  /// loop the paper's PEs execute during a reduction, over width()
+  /// slots whatever the contribution's length).
   void set_combine_cost(SimTime us_per_element) {
     combine_cost_us_per_element_ = us_per_element;
   }
@@ -69,14 +79,16 @@ class Reducer {
 
  private:
   struct PendingCycle {
+    std::uint64_t cycle = 0;
     std::vector<double> sum;
     std::uint32_t received = 0;
   };
 
   struct NodeState {
     std::uint64_t next_contribute_cycle = 0;
-    // Partial sums for cycles still in flight at this tree node.
-    std::map<std::uint64_t, PendingCycle> pending;
+    // Partial sums for cycles still in flight at this tree node: one or
+    // two, since cycles pipeline only that deep, so a scanned vector.
+    std::vector<PendingCycle> pending;
   };
 
   std::uint32_t parent_of(PeId pe) const { return (pe - 1) / fanout_; }
@@ -85,13 +97,16 @@ class Reducer {
   /// Folds `value` into `pe`'s pending state for `cycle`; forwards to the
   /// parent / fires the root when the subtree is complete.
   void absorb(Pe& pe, std::uint64_t cycle, const std::vector<double>& value);
-  void forward_or_finish(Pe& pe, std::uint64_t cycle);
+  void forward_or_finish(Pe& pe, std::size_t index);
+  /// Appends identity slots to `sum` up to `length`.
+  void extend(std::vector<double>& sum, std::size_t length) const;
   void broadcast_down(Pe& pe, std::uint64_t cycle,
                       const std::vector<double>& payload);
 
   std::size_t payload_bytes() const { return width_ * sizeof(double) + 16; }
 
-  /// Pooled payload backing stores: partial-sum vectors cycle through
+  /// Pooled payload backing stores (handed out empty, with room for
+  /// width() slots): partial-sum vectors cycle through
   /// the tree once per reduction per node, so recycling them keeps the
   /// steady state allocation-free (ACIC reduces every few hundred
   /// microseconds of simulated time with 515-slot payloads).  Pools are

@@ -154,6 +154,7 @@ struct alignas(64) Machine::Shard {
 thread_local Machine::Shard* Machine::tls_shard_ = nullptr;
 
 void Pe::send(PeId to, std::size_t bytes, Task task) {
+  ACIC_HOT_ASSERT_MSG(meters_held_ == 0, kMeterHeld);
   machine_->send(id_, to, bytes, std::move(task));
 }
 

@@ -157,16 +157,25 @@ class alignas(64) Pe {
   /// relaxed edge), and the full-speed case skips the divide — exact,
   /// since x / 1.0 == x bit for bit.
   void charge(SimTime us) {
+    ACIC_HOT_ASSERT_MSG(meters_held_ == 0, kMeterHeld);
+    const SimTime step = scaled(us);
+    current_time_ += step;
+    busy_us_ += step;
+  }
+
+  /// `us` divided by this PE's speed factor: the increment charge(us)
+  /// adds, computed once so a loop can feed it to a Meter per item.
+  SimTime scaled(SimTime us) const {
     ACIC_HOT_ASSERT_MSG(us >= 0.0, "cannot charge negative time");
-    const SimTime scaled =
-        speed_factor_ == 1.0 ? us : us / speed_factor_;
-    current_time_ += scaled;
-    busy_us_ += scaled;
+    return speed_factor_ == 1.0 ? us : us / speed_factor_;
   }
 
   /// Current simulated time on this PE (advances within a task as CPU is
   /// charged).
-  SimTime now() const { return current_time_; }
+  SimTime now() const {
+    ACIC_HOT_ASSERT_MSG(meters_held_ == 0, kMeterHeld);
+    return current_time_;
+  }
 
   /// Sends a message of `bytes` bytes to PE `to`; `task` runs there after
   /// network latency + transfer time.  Charges the sender's overhead.
@@ -175,8 +184,69 @@ class alignas(64) Pe {
   /// Enqueues a continuation on this PE with no messaging cost.
   void enqueue_local(Task task);
 
+  /// The PE's clock and busy total held in locals across a per-item loop:
+  /// add(scaled(us)) performs exactly charge(us)'s two additions, in
+  /// registers instead of through the PE.  commit() stores both back and
+  /// must precede anything that reads or charges the PE (send, a tram
+  /// flush, now(), charge()); reload() picks up what such a call
+  /// charged.  Debug builds assert that rule in charge(), now() and
+  /// send(), and that a Meter is never dropped or reloaded holding
+  /// uncommitted time.
+  class Meter {
+   public:
+    explicit Meter(Pe& pe)
+        : pe_(pe), now_(pe.current_time_), busy_(pe.busy_us_) {}
+    ~Meter() { ACIC_HOT_ASSERT_MSG(!held(), "Meter dropped uncommitted"); }
+    Meter(const Meter&) = delete;
+    Meter& operator=(const Meter&) = delete;
+
+    void add(SimTime scaled) {
+      now_ += scaled;
+      busy_ += scaled;
+      hold();
+    }
+    /// The PE's time including every add() so far (registry stamps).
+    SimTime now() const { return now_; }
+    void commit() {
+      pe_.current_time_ = now_;
+      pe_.busy_us_ = busy_;
+      release();
+    }
+    void reload() {
+      ACIC_HOT_ASSERT_MSG(!held(), "Meter reloaded uncommitted");
+      now_ = pe_.current_time_;
+      busy_ = pe_.busy_us_;
+    }
+
+   private:
+#ifndef NDEBUG
+    bool held() const { return held_; }
+    void hold() {
+      if (!held_) ++pe_.meters_held_;
+      held_ = true;
+    }
+    void release() {
+      if (held_) --pe_.meters_held_;
+      held_ = false;
+    }
+#else
+    static constexpr bool held() { return false; }
+    static void hold() {}
+    static void release() {}
+#endif
+    Pe& pe_;
+    SimTime now_;
+    SimTime busy_;
+#ifndef NDEBUG
+    bool held_ = false;
+#endif
+  };
+
  private:
   friend class Machine;
+
+  static constexpr const char* kMeterHeld =
+      "a Pe::Meter holds uncommitted time on this PE";
 
   /// FIFO of queued-task words (slot index plus the receive-overhead
   /// flag, packed as in Event).  A power-of-two ring: push_back and
@@ -237,6 +307,9 @@ class alignas(64) Pe {
   SimTime busy_us_ = 0.0;
   std::uint64_t tasks_run_ = 0;
   double speed_factor_ = 1.0;
+#ifndef NDEBUG
+  std::uint32_t meters_held_ = 0;  // Meters with uncommitted time
+#endif
 };
 
 class Machine {

@@ -59,6 +59,17 @@ TEST(Histogram, AppendToPayload) {
   histogram.append_to(&payload);
   EXPECT_EQ(payload,
             (std::vector<double>{99.0, 1.0, 0.0, 2.0}));
+
+  // The payload ends at the highest non-zero bucket, negative or not.
+  UpdateHistogram tail(5, 1.0, 4);
+  tail.increment(0);
+  tail.decrement(2);
+  payload.assign({99.0});
+  tail.append_to(&payload);
+  EXPECT_EQ(payload, (std::vector<double>{99.0, 1.0, 0.0, -1.0}));
+  payload.clear();
+  UpdateHistogram(5, 1.0, 4).append_to(&payload);
+  EXPECT_TRUE(payload.empty());
 }
 
 TEST(Thresholds, BucketAtFractionWalksFromBottom) {

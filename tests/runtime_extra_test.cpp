@@ -45,6 +45,37 @@ TEST(ReducerOps, MinAndMaxSlots) {
   EXPECT_DOUBLE_EQ(result[2], 4.0);   // max of 0..4
 }
 
+TEST(ReducerOps, ShortContributionsPadWithEachOpsIdentity) {
+  // Missing tail slots are the identity of their op (0, +inf, -inf), so
+  // a contribution that stops early leaves the other PEs' values alone.
+  Machine machine(Topology::tiny(3));
+  std::vector<double> result;
+  Reducer reducer(
+      machine, 3,
+      [&](Pe&, std::uint64_t, const std::vector<double>& sum)
+          -> std::optional<std::vector<double>> {
+        result = sum;
+        return std::nullopt;
+      },
+      [](Pe&, std::uint64_t, const std::vector<double>&) {},
+      /*fanout=*/2,
+      {ReduceOp::kSum, ReduceOp::kMin, ReduceOp::kMax});
+  machine.schedule_at(0.0, 0, [&reducer](Pe& pe) {
+    reducer.contribute(pe, {1.0});
+  });
+  machine.schedule_at(0.0, 1, [&reducer](Pe& pe) {
+    reducer.contribute(pe, {2.0, 5.0});
+  });
+  machine.schedule_at(0.0, 2, [&reducer](Pe& pe) {
+    reducer.contribute(pe, {});
+  });
+  machine.run();
+  ASSERT_EQ(result.size(), 3u);
+  EXPECT_DOUBLE_EQ(result[0], 3.0);
+  EXPECT_DOUBLE_EQ(result[1], 5.0);
+  EXPECT_EQ(result[2], -std::numeric_limits<double>::infinity());
+}
+
 TEST(ReducerOps, MinOfInfinityIdentity) {
   Machine machine(Topology::tiny(2));
   std::vector<double> result;
