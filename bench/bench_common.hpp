@@ -177,7 +177,7 @@ struct FieldDiff {
 /// in-process can only attribute it to the *first* config that reached
 /// the peak; single-run tools (ooc_smoke) report it per phase honestly.
 /// major_faults counts page faults that hit storage — the out-of-core
-/// cost the prefetcher exists to hide.
+/// cost of an mmap-backed graph whose pages are not yet resident.
 struct ResourceUsage {
   std::uint64_t max_rss_bytes = 0;
   std::uint64_t major_faults = 0;

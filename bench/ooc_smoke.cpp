@@ -9,8 +9,7 @@
 //                    materialized: edges flow generator -> bounded chunk
 //                    -> sorted spill run -> k-way merge, so peak RSS is
 //                    O(chunk + merge buffers), not O(|E|).
-//   --mode solve     mmap the file (graph::MappedCsr), attach the
-//                    frontier-fed page prefetcher, run --solver, and
+//   --mode solve     mmap the file (graph::MappedCsr), run --solver, and
 //                    print OOC_CHECKSUM=<fnv64 over distance bits>.
 //   --mode memsolve  build the same graph in memory (stats::build_graph)
 //                    and solve — the reference arm.  Prints the same
@@ -45,7 +44,6 @@
 #include "src/graph/csr_file.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/mapped_csr.hpp"
-#include "src/graph/ooc_prefetch.hpp"
 #include "src/sssp/solver.hpp"
 #include "src/stats/experiment.hpp"
 
@@ -143,9 +141,7 @@ int run_build(const util::Options& opts) {
 
 /// Shared solve tail: run `solver`, print the checksum + usage lines,
 /// enforce --expect-checksum.
-int solve_and_report(const util::Options& opts, const graph::Csr& csr,
-                     graph::ooc::FrontierFeed* feed,
-                     graph::ooc::PagePrefetcher* prefetcher) {
+int solve_and_report(const util::Options& opts, const graph::Csr& csr) {
   const std::string solver = opts.get("solver", "acic");
   if (!sssp::has_solver(solver)) {
     std::fprintf(stderr, "ooc_smoke: unknown solver '%s'\n", solver.c_str());
@@ -157,11 +153,9 @@ int solve_and_report(const util::Options& opts, const graph::Csr& csr,
   machine.set_threads(static_cast<unsigned>(opts.get_int("threads", 1)));
   const auto source =
       static_cast<graph::VertexId>(opts.get_int("source", 0));
-  sssp::SolverOptions sopts;
-  sopts.storage.frontier_feed = feed;
 
   const auto start = std::chrono::steady_clock::now();
-  sssp::SolverRun run = sssp::run_solver(solver, machine, csr, source, sopts);
+  sssp::SolverRun run = sssp::run_solver(solver, machine, csr, source);
   const std::chrono::duration<double> wall =
       std::chrono::steady_clock::now() - start;
 
@@ -170,22 +164,6 @@ int solve_and_report(const util::Options& opts, const graph::Csr& csr,
               wall.count(), run.sssp.metrics.sim_time_us,
               static_cast<unsigned long long>(
                   run.sssp.metrics.updates_created));
-  if (prefetcher != nullptr) {
-    prefetcher->stop();
-    const graph::ooc::PagePrefetcher::Stats stats = prefetcher->stats();
-    std::printf("prefetch: consumed=%llu hints=%llu coalesced=%llu "
-                "pages=%llu overflows=%llu evictions=%llu dropped=%llu "
-                "resident_est=%llu\n",
-                static_cast<unsigned long long>(stats.vertices_consumed),
-                static_cast<unsigned long long>(stats.hints_issued),
-                static_cast<unsigned long long>(stats.hints_coalesced),
-                static_cast<unsigned long long>(stats.pages_hinted),
-                static_cast<unsigned long long>(stats.ring_overflows),
-                static_cast<unsigned long long>(stats.evictions),
-                static_cast<unsigned long long>(stats.pages_dropped),
-                static_cast<unsigned long long>(
-                    stats.resident_bytes_estimate));
-  }
   std::printf("OOC_CHECKSUM=%016" PRIx64 "\n", checksum);
   print_usage();
 
@@ -218,18 +196,7 @@ int run_solve(const util::Options& opts) {
               static_cast<unsigned long long>(mapped->num_edges()),
               static_cast<unsigned long long>(mapped->mapping_bytes()));
 
-  std::unique_ptr<graph::ooc::FrontierFeed> feed;
-  std::unique_ptr<graph::ooc::PagePrefetcher> prefetcher;
-  if (opts.get_bool("prefetch", true)) {
-    feed = std::make_unique<graph::ooc::FrontierFeed>();
-    graph::ooc::PagePrefetcher::Options popts;
-    popts.residency_budget_bytes =
-        static_cast<std::uint64_t>(opts.get_int("budget-mb", 0)) << 20;
-    prefetcher = std::make_unique<graph::ooc::PagePrefetcher>(
-        *mapped, *feed, popts);
-  }
-  return solve_and_report(opts, mapped->csr(), feed.get(),
-                          prefetcher.get());
+  return solve_and_report(opts, mapped->csr());
 }
 
 int run_memsolve(const util::Options& opts) {
@@ -243,7 +210,7 @@ int run_memsolve(const util::Options& opts) {
   const graph::Csr csr = stats::build_graph(spec);
   std::printf("built in memory: |V|=%u |E|=%llu\n", csr.num_vertices(),
               static_cast<unsigned long long>(csr.num_edges()));
-  return solve_and_report(opts, csr, nullptr, nullptr);
+  return solve_and_report(opts, csr);
 }
 
 }  // namespace

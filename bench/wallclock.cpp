@@ -15,8 +15,7 @@
 // --storage mem,mmap additionally runs every (identity-reorder) config
 // against an mmap-backed view of the same graph: the CSR is written to
 // the page-aligned on-disk format (src/graph/csr_file.hpp) once per
-// scale, opened with graph::MappedCsr, and served to the solvers with a
-// frontier-fed page prefetcher attached (src/graph/ooc_prefetch.hpp).
+// scale, opened with graph::MappedCsr, and served to the solvers as is.
 // The storage backend is invisible to the simulation, so every
 // simulated-side field — checksums included — is diffed against the
 // in-memory arm and any divergence exits 4.  Each result entry reports
@@ -74,7 +73,6 @@
 #include "src/graph/csr.hpp"
 #include "src/graph/csr_file.hpp"
 #include "src/graph/mapped_csr.hpp"
-#include "src/graph/ooc_prefetch.hpp"
 #include "src/graph/reorder.hpp"
 #include "src/obs/registry.hpp"
 #include "src/sssp/solver.hpp"
@@ -182,8 +180,7 @@ using bench::die_divergence;
 /// original labels regardless of mode).
 Sample run_one(const std::string& solver, const stats::ExperimentSpec& spec,
                const graph::Csr& csr, const graph::Remap* remap,
-               std::uint32_t trials, unsigned threads,
-               graph::ooc::FrontierFeed* feed = nullptr) {
+               std::uint32_t trials, unsigned threads) {
   Sample sample;
   sample.wall_best_s = 1e300;
   const graph::VertexId source =
@@ -191,11 +188,8 @@ Sample run_one(const std::string& solver, const stats::ExperimentSpec& spec,
   for (std::uint32_t trial = 0; trial < trials; ++trial) {
     runtime::Machine machine(spec.topology());
     machine.set_threads(threads);
-    sssp::SolverOptions opts;
-    opts.storage.frontier_feed = feed;
     const auto start = std::chrono::steady_clock::now();
-    sssp::SolverRun run =
-        sssp::run_solver(solver, machine, csr, source, opts);
+    sssp::SolverRun run = sssp::run_solver(solver, machine, csr, source);
     const std::chrono::duration<double> wall =
         std::chrono::steady_clock::now() - start;
     sample.wall_best_s = std::min(sample.wall_best_s, wall.count());
@@ -366,8 +360,8 @@ int main(int argc, char** argv) {
   }
   // Storage backends.  "mem" is the in-memory Csr the harness always
   // built; "mmap" re-runs identity-reorder configs on a MappedCsr view
-  // of the on-disk file, prefetcher attached, diffing every simulated
-  // field against the in-memory arm.
+  // of the on-disk file, diffing every simulated field against the
+  // in-memory arm.
   std::vector<std::string> storage_modes =
       split_csv(opts.get("storage", "mem"));
   if (storage_modes.empty()) storage_modes.push_back("mem");
@@ -509,22 +503,13 @@ int main(int argc, char** argv) {
         // construction; the mmap arm only covers identity ordering.
         if (is_mmap && mode != graph::ReorderMode::kIdentity) continue;
         const graph::Csr& sweep_csr = is_mmap ? mapped->csr() : run_csr;
-        // Hint-only readahead for the mmap arm: its presence cannot
-        // change any field diffed below.
-        std::unique_ptr<graph::ooc::FrontierFeed> feed;
-        std::unique_ptr<graph::ooc::PagePrefetcher> prefetcher;
-        if (is_mmap) {
-          feed = std::make_unique<graph::ooc::FrontierFeed>();
-          prefetcher =
-              std::make_unique<graph::ooc::PagePrefetcher>(*mapped, *feed);
-        }
         const char* storage_tag =
             storage_modes.size() > 1 ? (is_mmap ? "mmap " : "mem  ") : "";
         double wall_1thread = -1.0;
         for (const unsigned threads : threads_list) {
           const char* engine_name = threads == 1 ? "serial" : "parallel";
-          Sample s = run_one(solver, spec, sweep_csr, remap, trials,
-                             threads, feed.get());
+          Sample s =
+              run_one(solver, spec, sweep_csr, remap, trials, threads);
           if (!have_reference) {
             reference = std::move(s);
             have_reference = true;

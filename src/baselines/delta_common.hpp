@@ -15,10 +15,6 @@
 #include "src/sssp/result.hpp"
 #include "src/tram/tram.hpp"
 
-namespace acic::graph::ooc {
-class FrontierFeed;
-}
-
 namespace acic::baselines {
 
 struct DeltaConfig {
@@ -34,13 +30,6 @@ struct DeltaConfig {
   /// messages (the BSP barrier needs the same two-stable-reductions drain
   /// rule ACIC's termination uses).
   runtime::SimTime barrier_interval_us = 10.0;
-  /// Optional out-of-core frontier feed (src/graph/ooc_prefetch.hpp):
-  /// bucket placements and Bellman-Ford dirty-list inserts publish the
-  /// vertex id so a PagePrefetcher can warm the mmap'd adjacency pages
-  /// before the phase loop walks them.  Host-side, best-effort,
-  /// drop-on-full — bit-identical results with or without it.  Must
-  /// outlive the run.
-  graph::ooc::FrontierFeed* frontier_feed = nullptr;
 };
 
 struct DeltaRunResult {

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "src/baselines/sequential.hpp"
-#include "src/graph/ooc_prefetch.hpp"
 #include "src/runtime/collectives.hpp"
 #include "src/sssp/update.hpp"
 #include "src/tram/tram.hpp"
@@ -213,7 +212,6 @@ class DeltaEngine {
       if (!state.dirty_flag[local]) {
         state.dirty_flag[local] = true;
         state.dirty.push_back(u.vertex);
-        feed_frontier(u.vertex);
       }
       return;
     }
@@ -224,15 +222,6 @@ class DeltaEngine {
     state.queued[local] = true;
     pe.charge(config_.costs.pq_op_us);
     place_in_bucket(state, u.vertex, u.dist);
-    // Peek point for the out-of-core page prefetcher: this row is walked
-    // in an upcoming light/heavy phase (host side, zero simulated cost).
-    feed_frontier(u.vertex);
-  }
-
-  void feed_frontier(VertexId v) {
-    if (config_.frontier_feed != nullptr) {
-      config_.frontier_feed->try_publish(v);
-    }
   }
 
   /// Worklist lookahead for the phase loops below: each iteration walks

@@ -8,7 +8,6 @@
 
 #include "src/core/histogram.hpp"
 #include "src/core/hold.hpp"
-#include "src/graph/ooc_prefetch.hpp"
 #include "src/obs/registry.hpp"
 #include "src/runtime/collectives.hpp"
 #include "src/sssp/update.hpp"
@@ -453,15 +452,6 @@ class AcicEngine::Impl {
     count_created(state, 1, sent ? 1 : 0);
   }
 
-  /// Publishes a vertex whose adjacency row is about to be needed to the
-  /// out-of-core prefetcher feed, if one is attached.  Lock-free,
-  /// drop-on-full, zero simulated cost — cannot affect results.
-  void feed_frontier(VertexId v) {
-    if (config_.frontier_feed != nullptr) {
-      config_.frontier_feed->try_publish(v);
-    }
-  }
-
   /// Warms the distance slot an update will be compared against and the
   /// CSR offsets entry its expansion reads first.  A hint only: the
   /// simulation is bit-identical with or without it.
@@ -530,10 +520,6 @@ class AcicEngine::Impl {
           registry_->add(obs_held_pq_, pe.id(), 1, meter.now());
         }
       }
-      // Either way this vertex's row will be walked once the update
-      // surfaces: peek point for the out-of-core page prefetcher (host
-      // side, best effort, no simulated cost).
-      feed_frontier(u.vertex);
     }
     meter.commit();
     state.processed += rejected;
@@ -892,7 +878,6 @@ class AcicEngine::Impl {
     for (const UpdateMsg& u : release_buffer) {
       pe.charge(config_.costs.pq_op_us);
       state.pq.push(u);
-      feed_frontier(u.vertex);
     }
 
     // The paper's manual flush: guarantees buffered updates eventually

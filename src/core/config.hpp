@@ -8,10 +8,6 @@
 #include "src/sssp/cost_model.hpp"
 #include "src/tram/tram.hpp"
 
-namespace acic::graph::ooc {
-class FrontierFeed;
-}
-
 namespace acic::core {
 
 struct AcicConfig {
@@ -63,17 +59,6 @@ struct AcicConfig {
   /// Record the root's global histogram every cycle (fig. 1 support;
   /// costs memory, off by default).
   bool record_histograms = false;
-
-  /// Optional out-of-core frontier feed (src/graph/ooc_prefetch.hpp).
-  /// When set, the engine publishes the vertex id of every update
-  /// entering pq or the pq-hold — the vertices whose adjacency rows are
-  /// about to be walked — so a PagePrefetcher can madvise the backing
-  /// pages of an mmap-backed CSR ahead of the faulting access.
-  /// Publication is best-effort host-side work: it never charges
-  /// simulated CPU, never blocks (the ring drops on overflow), and the
-  /// hints it produces cannot change any value read, so results are
-  /// bit-identical with or without a feed.  Must outlive the engine.
-  graph::ooc::FrontierFeed* frontier_feed = nullptr;
 
   /// In-process work stealing (future work, §V): when the owner expands
   /// a vertex whose out-degree reaches this threshold, the edge range is

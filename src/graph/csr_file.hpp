@@ -2,7 +2,7 @@
 // Page-aligned on-disk CSR: the out-of-core graph format.
 //
 // Layout (little-endian, host field layout, every section starting on a
-// 4 KiB page boundary so madvise/mincore operate on clean ranges):
+// 4 KiB page boundary so it maps page-aligned):
 //
 //   [0, 4096)              CsrFileHeader, zero-padded to one page
 //   [offsets_pos, ...)     (|V|+1) x u64 row offsets, zero-padded to a page
@@ -46,9 +46,8 @@ namespace acic::graph {
 /// "ACICOOC1" — distinct from serialize.cpp's cache magic.
 inline constexpr std::uint64_t kCsrFileMagic = 0x31434F4F43494341ULL;
 inline constexpr std::uint32_t kCsrFileVersion = 1;
-/// Section alignment.  Fixed at the classic 4 KiB page: files written on
-/// a large-page host stay valid everywhere, and runtime madvise granules
-/// are computed from the *runtime* page size in MappedCsr.
+/// Section alignment.  Fixed at the classic 4 KiB page, so files written
+/// on a large-page host stay valid everywhere.
 inline constexpr std::uint64_t kCsrFilePageBytes = 4096;
 
 struct CsrFileHeader {

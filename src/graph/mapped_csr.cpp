@@ -5,32 +5,16 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <utility>
-#include <vector>
-
-#include "src/util/assert.hpp"
 
 namespace acic::graph {
-
-namespace {
-
-std::uint64_t align_down(std::uint64_t x, std::uint64_t a) {
-  return x / a * a;
-}
-std::uint64_t align_up(std::uint64_t x, std::uint64_t a) {
-  return (x + a - 1) / a * a;
-}
-
-}  // namespace
 
 MappedCsr::MappedCsr(const std::string& path) {
   if (!probe_csr_file(path, &header_)) {
     throw std::runtime_error("not an on-disk CSR file: " + path);
   }
-  const long ps = ::sysconf(_SC_PAGESIZE);
-  page_bytes_ = ps > 0 ? static_cast<std::size_t>(ps) : 4096;
 
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
@@ -81,8 +65,7 @@ MappedCsr::MappedCsr(MappedCsr&& other) noexcept
     : header_(other.header_),
       view_(std::move(other.view_)),
       map_(other.map_),
-      map_bytes_(other.map_bytes_),
-      page_bytes_(other.page_bytes_) {
+      map_bytes_(other.map_bytes_) {
   other.map_ = nullptr;
   other.map_bytes_ = 0;
   other.view_ = Csr();
@@ -95,90 +78,11 @@ MappedCsr& MappedCsr::operator=(MappedCsr&& other) noexcept {
     view_ = std::move(other.view_);
     map_ = other.map_;
     map_bytes_ = other.map_bytes_;
-    page_bytes_ = other.page_bytes_;
     other.map_ = nullptr;
     other.map_bytes_ = 0;
     other.view_ = Csr();
   }
   return *this;
-}
-
-MappedCsr::ByteRange MappedCsr::adjacency_range(VertexId first,
-                                                VertexId last) const {
-  ACIC_HOT_ASSERT(first <= last && last <= num_vertices());
-  const std::span<const std::size_t> offsets = view_.offsets();
-  return {header_.neighbors_pos + offsets[first] * sizeof(Neighbor),
-          header_.neighbors_pos + offsets[last] * sizeof(Neighbor)};
-}
-
-MappedCsr::ByteRange MappedCsr::neighbors_section() const {
-  return {header_.neighbors_pos,
-          header_.neighbors_pos + header_.neighbors_bytes};
-}
-
-std::size_t MappedCsr::hint_will_need(ByteRange r) const {
-  if (r.empty() || map_ == nullptr) return 0;
-  const std::uint64_t begin = align_down(r.begin, page_bytes_);
-  const std::uint64_t end =
-      std::min<std::uint64_t>(align_up(r.end, page_bytes_), map_bytes_);
-  if (begin >= end) return 0;
-  ::madvise(map_ + begin, static_cast<std::size_t>(end - begin),
-            MADV_WILLNEED);
-  return static_cast<std::size_t>((end - begin) / page_bytes_);
-}
-
-std::size_t MappedCsr::drop_pages(ByteRange r) const {
-  if (r.empty() || map_ == nullptr) return 0;
-  // Inwards alignment: never drop a page the range only grazes.
-  const std::uint64_t begin = align_up(r.begin, page_bytes_);
-  const std::uint64_t end =
-      std::min<std::uint64_t>(align_down(r.end, page_bytes_), map_bytes_);
-  if (begin >= end) return 0;
-  ::madvise(map_ + begin, static_cast<std::size_t>(end - begin),
-            MADV_DONTNEED);
-  return static_cast<std::size_t>((end - begin) / page_bytes_);
-}
-
-void MappedCsr::warm_offsets() const {
-  hint_will_need({header_.offsets_pos,
-                  header_.offsets_pos + header_.offsets_bytes});
-}
-
-MappedCsr::ResidencySample MappedCsr::sample_residency(
-    ByteRange r, std::size_t max_pages) const {
-  ResidencySample out;
-  if (r.empty() || map_ == nullptr || max_pages == 0) return out;
-  const std::uint64_t begin = align_down(r.begin, page_bytes_);
-  const std::uint64_t end =
-      std::min<std::uint64_t>(align_up(r.end, page_bytes_), map_bytes_);
-  if (begin >= end) return out;
-  const std::size_t total_pages =
-      static_cast<std::size_t>((end - begin) / page_bytes_);
-
-  // mincore whole contiguous blocks at an even stride so a bounded
-  // number of syscalls covers the range.
-  const std::size_t blocks =
-      std::min<std::size_t>(64, std::max<std::size_t>(1, max_pages / 8));
-  const std::size_t pages_per_block =
-      std::max<std::size_t>(1, std::min(total_pages, max_pages) / blocks);
-  std::vector<unsigned char> vec(pages_per_block);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::size_t first_page =
-        total_pages <= pages_per_block
-            ? 0
-            : b * (total_pages - pages_per_block) / std::max<std::size_t>(
-                                                        1, blocks - 1);
-    std::byte* addr = map_ + begin + first_page * page_bytes_;
-    const std::size_t n =
-        std::min(pages_per_block, total_pages - first_page);
-    if (::mincore(addr, n * page_bytes_, vec.data()) != 0) break;
-    out.pages_sampled += n;
-    for (std::size_t i = 0; i < n; ++i) {
-      out.pages_resident += vec[i] & 1u;
-    }
-    if (total_pages <= pages_per_block) break;
-  }
-  return out;
 }
 
 }  // namespace acic::graph

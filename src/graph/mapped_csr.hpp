@@ -5,19 +5,9 @@
 // page-aligned in the mapping and the view's spans point straight into
 // the page cache — solvers run unmodified, the kernel faults adjacency
 // pages in on first touch, and resident memory is bounded by what the
-// access pattern (plus the prefetcher's hints) actually touches, not by
-// |E|.
-//
-// Everything beyond the view is *hints*: madvise(MADV_WILLNEED) to start
-// readahead for upcoming adjacency ranges, madvise(MADV_DONTNEED) to
-// drop resident pages (non-destructive on a read-only file mapping —
-// a later touch refaults the identical file bytes), and mincore sampling
-// for observability.  None of them can change a single byte any solver
-// reads, which is the whole determinism argument for the prefetcher
-// built on top (src/graph/ooc_prefetch.hpp).
+// access pattern actually touches, not by |E|.
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 
 #include "src/graph/csr.hpp"
@@ -42,49 +32,7 @@ class MappedCsr {
   const CsrFileHeader& header() const { return header_; }
   VertexId num_vertices() const { return view_.num_vertices(); }
   std::size_t num_edges() const { return view_.num_edges(); }
-
-  /// Runtime page size (the madvise/mincore granule, which may exceed
-  /// the file's 4 KiB section alignment on large-page hosts).
-  std::size_t page_bytes() const { return page_bytes_; }
   std::size_t mapping_bytes() const { return map_bytes_; }
-
-  /// Half-open byte range within the mapping.
-  struct ByteRange {
-    std::uint64_t begin = 0;
-    std::uint64_t end = 0;
-    bool empty() const { return begin >= end; }
-  };
-
-  /// Bytes holding the adjacency records of vertices [first, last).
-  ByteRange adjacency_range(VertexId first, VertexId last) const;
-  ByteRange adjacency_range(VertexId v) const {
-    return adjacency_range(v, v + 1);
-  }
-  /// The whole neighbors section (the prefetcher's eviction domain).
-  ByteRange neighbors_section() const;
-
-  /// Expands `r` to page boundaries (clamped to the mapping) and issues
-  /// madvise(MADV_WILLNEED).  Returns pages hinted; 0 for empty ranges.
-  /// Purely a readahead hint — cannot affect any value read.
-  std::size_t hint_will_need(ByteRange r) const;
-
-  /// Page-aligns `r` and issues madvise(MADV_DONTNEED), dropping the
-  /// pages from the resident set.  Non-destructive: the mapping is
-  /// read-only and file-backed, so a later access refaults the same
-  /// bytes.  Returns pages dropped from the mapping's accounting.
-  std::size_t drop_pages(ByteRange r) const;
-
-  /// Starts kernel readahead for the whole offsets section (touched
-  /// uniformly by every solver; at scale 24 it is ~3% of the file).
-  void warm_offsets() const;
-
-  /// mincore over at most `max_pages` pages of `r`, evenly strided.
-  struct ResidencySample {
-    std::size_t pages_sampled = 0;
-    std::size_t pages_resident = 0;
-  };
-  ResidencySample sample_residency(ByteRange r,
-                                   std::size_t max_pages) const;
 
  private:
   void reset() noexcept;
@@ -93,7 +41,6 @@ class MappedCsr {
   Csr view_;
   std::byte* map_ = nullptr;
   std::size_t map_bytes_ = 0;
-  std::size_t page_bytes_ = 4096;
 };
 
 }  // namespace acic::graph

@@ -1,7 +1,6 @@
 #pragma once
-// Binary CSR serialization: cache generated graphs on disk so that
-// large-scale experiment sweeps do not regenerate the same workload for
-// every binary.  The format is a fixed little-endian header (magic,
+// Binary CSR serialization: save a graph to disk and load it back
+// bit-identically.  The format is a fixed little-endian header (magic,
 // version, |V|, |E|) followed by the raw offset and neighbor arrays; it
 // is a cache format, not an interchange format — consistency of the
 // producing build is assumed and the magic/version guard the rest.
@@ -42,19 +41,5 @@ bool save_dynamic_graph(const dynamic::DynamicGraph& graph,
 /// must satisfy the simple-graph contract.  Throws std::runtime_error
 /// on missing file, bad magic, unknown version, or truncation.
 dynamic::DynamicGraph load_dynamic_graph(const std::string& path);
-
-/// Cache wrapper: loads `path` if present, otherwise invokes `build`,
-/// saves the result, and returns it.  Used by benches via
-/// `--graph-cache <dir>`.
-template <typename BuildFn>
-Csr load_or_build_csr(const std::string& path, BuildFn&& build) {
-  if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
-    std::fclose(f);
-    return load_csr(path);
-  }
-  Csr csr = build();
-  save_csr(csr, path);
-  return csr;
-}
 
 }  // namespace acic::graph

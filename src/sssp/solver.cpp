@@ -41,11 +41,7 @@ SolverRun run_acic(runtime::Machine& machine, const graph::Csr& csr,
           ? graph::Partition1D::balanced_edges(csr, machine.num_pes())
           : graph::Partition1D::block(csr.num_vertices(),
                                       machine.num_pes());
-  core::AcicConfig config = opts.acic;
-  if (config.frontier_feed == nullptr) {
-    config.frontier_feed = opts.storage.frontier_feed;
-  }
-  auto run = core::acic_sssp(machine, csr, partition, source, config,
+  auto run = core::acic_sssp(machine, csr, partition, source, opts.acic,
                              opts.time_limit_us);
   SolverRun out;
   out.sssp = std::move(run.sssp);
@@ -67,21 +63,17 @@ SolverRun run_acic(runtime::Machine& machine, const graph::Csr& csr,
 SolverRun run_delta(runtime::Machine& machine, const graph::Csr& csr,
                     graph::VertexId source, const SolverOptions& opts,
                     bool two_d) {
-  baselines::DeltaConfig config = opts.delta;
-  if (config.frontier_feed == nullptr) {
-    config.frontier_feed = opts.storage.frontier_feed;
-  }
   baselines::DeltaRunResult run;
   if (two_d) {
     const auto partition = graph::Partition2D::squarest(csr,
                                                         machine.num_pes());
     run = baselines::delta_stepping_2d(machine, csr, partition, source,
-                                       config, opts.time_limit_us);
+                                       opts.delta, opts.time_limit_us);
   } else {
     const auto partition =
         graph::Partition1D::block(csr.num_vertices(), machine.num_pes());
     run = baselines::delta_stepping_dist(machine, csr, partition, source,
-                                         config, opts.time_limit_us);
+                                         opts.delta, opts.time_limit_us);
   }
   SolverRun out;
   out.sssp = std::move(run.sssp);

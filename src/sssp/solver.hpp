@@ -37,7 +37,6 @@
 #include "src/baselines/kla.hpp"
 #include "src/core/config.hpp"
 #include "src/graph/csr.hpp"
-#include "src/graph/ooc_prefetch.hpp"
 #include "src/graph/reorder.hpp"
 #include "src/runtime/machine.hpp"
 #include "src/sssp/result.hpp"
@@ -79,18 +78,6 @@ struct SolverOptions {
   /// one run emits runtime, tram and algorithm streams without
   /// per-solver wiring.  Must outlive the run.
   obs::Registry* registry = nullptr;
-
-  /// Storage wiring for out-of-core graphs.  The CSR handed to
-  /// run_solver may already be a MappedCsr view — solvers cannot tell —
-  /// so the only knob here is the prefetcher feed: when set it is
-  /// propagated into the engine configs (unless they already name one)
-  /// and the ACIC pq/hold and Δ-stepping bucket code publishes upcoming
-  /// vertex ids into it.  Purely a host-side readahead channel; results
-  /// are bit-identical with or without it.  Must outlive the run.
-  struct StorageOptions {
-    graph::ooc::FrontierFeed* frontier_feed = nullptr;
-  };
-  StorageOptions storage;
 };
 
 /// Uniform run metadata: what every solver can report about its own

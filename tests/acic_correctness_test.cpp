@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -12,6 +13,7 @@
 #include "src/core/acic.hpp"
 #include "src/graph/validate.hpp"
 #include "src/stats/experiment.hpp"
+#include "src/tram/tram.hpp"
 #include "src/util/rng.hpp"
 
 namespace {
@@ -129,6 +131,17 @@ struct ParamCase {
   bool use_pq_hold;
   bool use_tram_hold;
 };
+
+// gtest_discover_tests puts this text into each case's ctest name.
+// Without it gtest prints the struct's raw bytes — the name pointer and
+// padding included — so the names would change from build to build.
+void PrintTo(const ParamCase& c, std::ostream* os) {
+  *os << c.name << " p_tram=" << c.p_tram << " p_pq=" << c.p_pq
+      << " buckets=" << c.buckets << " buffer=" << c.buffer
+      << " mode=" << acic::tram::aggregation_name(c.mode)
+      << " use_pq=" << c.use_pq << " use_pq_hold=" << c.use_pq_hold
+      << " use_tram_hold=" << c.use_tram_hold;
+}
 
 class AcicParamSweep : public ::testing::TestWithParam<ParamCase> {};
 

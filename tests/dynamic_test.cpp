@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -395,6 +396,14 @@ struct StreamCase {
   std::uint64_t seed;
   unsigned threads;
 };
+
+// Keeps the ctest names stable: gtest's fallback prints the raw bytes,
+// uninitialized padding included (see PrintTo in
+// acic_correctness_test.cpp).
+void PrintTo(const StreamCase& c, std::ostream* os) {
+  *os << "scale=" << c.scale << " seed=" << c.seed
+      << " threads=" << c.threads;
+}
 
 class IncrementalEqualsScratch
     : public ::testing::TestWithParam<StreamCase> {};

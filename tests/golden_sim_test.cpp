@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -232,6 +233,13 @@ struct Param {
   std::string name;
   unsigned threads;
 };
+
+// Keeps the ctest names stable: gtest's fallback prints the raw bytes,
+// std::string storage included (see PrintTo in
+// acic_correctness_test.cpp).
+void PrintTo(const Param& p, std::ostream* os) {
+  *os << p.name << " threads=" << p.threads;
+}
 
 class Recorded : public ::testing::TestWithParam<Param> {};
 

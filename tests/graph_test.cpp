@@ -557,24 +557,6 @@ TEST(Serialize, RoundTripPreservesCsr) {
   std::remove(path.c_str());
 }
 
-TEST(Serialize, LoadOrBuildUsesCache) {
-  const std::string path = ::testing::TempDir() + "/acic_csr_cache2.bin";
-  std::remove(path.c_str());
-  int builds = 0;
-  auto build = [&builds] {
-    ++builds;
-    GenParams params;
-    params.num_vertices = 64;
-    params.num_edges = 256;
-    return Csr::from_edge_list(generate_uniform_random(params));
-  };
-  const Csr first = load_or_build_csr(path, build);
-  const Csr second = load_or_build_csr(path, build);
-  EXPECT_EQ(builds, 1);  // second call hit the cache
-  EXPECT_TRUE(std::ranges::equal(first.neighbors(), second.neighbors()));
-  std::remove(path.c_str());
-}
-
 TEST(Serialize, RejectsGarbageFiles) {
   const std::string path = ::testing::TempDir() + "/acic_csr_garbage.bin";
   std::FILE* f = std::fopen(path.c_str(), "wb");
