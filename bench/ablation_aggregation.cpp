@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "bench/bench_common.hpp"
+#include "src/sssp/solver.hpp"
 #include "src/util/rng.hpp"
 
 int main(int argc, char** argv) {
@@ -36,13 +37,14 @@ int main(int argc, char** argv) {
         spec.scale = scale;
         spec.nodes = nodes;
         spec.seed = util::derive_seed(29, trial);
-        stats::AlgoParams params;
-        params.acic.tram.mode = mode;
-        const auto outcome =
-            stats::run_experiment(stats::Algo::kAcic, spec, params);
-        time_s += outcome.sssp.metrics.sim_time_s();
-        messages +=
-            static_cast<double>(outcome.sssp.metrics.network_messages);
+        sssp::SolverOptions solver_opts;
+        solver_opts.acic.tram.mode = mode;
+        const graph::Csr csr = stats::build_graph(spec);
+        runtime::Machine machine(spec.topology());
+        const auto run =
+            sssp::run_solver("acic", machine, csr, spec.source, solver_opts);
+        time_s += run.sssp.metrics.sim_time_s();
+        messages += static_cast<double>(run.sssp.metrics.network_messages);
       }
       table.add_row({stats::graph_kind_name(kind),
                      tram::aggregation_name(mode),

@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "bench/bench_common.hpp"
+#include "src/sssp/solver.hpp"
 #include "src/util/rng.hpp"
 
 namespace {
@@ -54,15 +55,17 @@ int main(int argc, char** argv) {
         spec.scale = scale;
         spec.nodes = nodes;
         spec.seed = util::derive_seed(23, trial);
-        stats::AlgoParams params;
-        params.acic.use_pq = variant.use_pq;
-        params.acic.use_pq_hold = variant.use_pq_hold;
-        params.acic.use_tram_hold = variant.use_tram_hold;
-        const auto outcome =
-            stats::run_experiment(stats::Algo::kAcic, spec, params);
-        time_s += outcome.sssp.metrics.sim_time_s();
-        created += static_cast<double>(outcome.sssp.metrics.updates_created);
-        wasted += outcome.sssp.metrics.wasted_fraction();
+        sssp::SolverOptions solver_opts;
+        solver_opts.acic.use_pq = variant.use_pq;
+        solver_opts.acic.use_pq_hold = variant.use_pq_hold;
+        solver_opts.acic.use_tram_hold = variant.use_tram_hold;
+        const graph::Csr csr = stats::build_graph(spec);
+        runtime::Machine machine(spec.topology());
+        const auto run =
+            sssp::run_solver("acic", machine, csr, spec.source, solver_opts);
+        time_s += run.sssp.metrics.sim_time_s();
+        created += static_cast<double>(run.sssp.metrics.updates_created);
+        wasted += run.sssp.metrics.wasted_fraction();
       }
       table.add_row({stats::graph_kind_name(kind), variant.name,
                      util::strformat("%.5f", time_s / trials),

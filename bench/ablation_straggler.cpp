@@ -16,6 +16,7 @@
 #include <cstdio>
 
 #include "bench/bench_common.hpp"
+#include "src/sssp/solver.hpp"
 #include "src/util/rng.hpp"
 
 int main(int argc, char** argv) {
@@ -48,17 +49,25 @@ int main(int argc, char** argv) {
       spec.scale = scale;
       spec.nodes = nodes;
       spec.seed = util::derive_seed(41, trial);
-      spec.straggler_factor = factor;
       const graph::Csr csr = stats::build_graph(spec);
-      acic_time += stats::run_algorithm(stats::Algo::kAcic, csr, spec)
-                       .sssp.metrics.sim_time_s();
-      stats::AlgoParams stealing;
+      const auto solve = [&](const char* solver,
+                             const sssp::SolverOptions& solver_opts) {
+        runtime::Machine machine(spec.topology());
+        // Slow the last worker, not PE 0: PE 0 is the reduction root for
+        // every algorithm, and slowing it would measure root-bottleneck
+        // effects instead of compute imbalance.
+        if (factor != 1.0) {
+          machine.set_speed_factor(machine.num_pes() - 1, factor);
+        }
+        return sssp::run_solver(solver, machine, csr, spec.source,
+                                solver_opts)
+            .sssp.metrics.sim_time_s();
+      };
+      acic_time += solve("acic", {});
+      sssp::SolverOptions stealing;
       stealing.acic.steal_threshold_degree = 1;  // steal everything
-      ws_time += stats::run_algorithm(stats::Algo::kAcic, csr, spec,
-                                      stealing)
-                     .sssp.metrics.sim_time_s();
-      riken_time += stats::run_algorithm(stats::Algo::kRiken, csr, spec)
-                        .sssp.metrics.sim_time_s();
+      ws_time += solve("acic", stealing);
+      riken_time += solve("delta_stepping_2d", {});
     }
     acic_time /= trials;
     ws_time /= trials;

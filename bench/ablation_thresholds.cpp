@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "bench/bench_common.hpp"
+#include "src/sssp/solver.hpp"
 #include "src/util/rng.hpp"
 
 int main(int argc, char** argv) {
@@ -38,18 +39,19 @@ int main(int argc, char** argv) {
         spec.seed = util::derive_seed(53, trial);
         const graph::Csr csr = stats::build_graph(spec);
 
-        stats::AlgoParams two_tier;  // paper default
-        const auto tt =
-            stats::run_algorithm(stats::Algo::kAcic, csr, spec, two_tier);
+        runtime::Machine tt_machine(spec.topology());
+        const auto tt = sssp::run_solver("acic", tt_machine, csr,
+                                         spec.source);  // paper default
         tt_time += tt.sssp.metrics.sim_time_s();
         tt_updates +=
             static_cast<double>(tt.sssp.metrics.updates_created);
 
-        stats::AlgoParams work_window;
+        sssp::SolverOptions work_window;
         work_window.acic.threshold_policy =
             core::ThresholdPolicyKind::kWorkWindow;
-        const auto ww = stats::run_algorithm(stats::Algo::kAcic, csr,
-                                             spec, work_window);
+        runtime::Machine ww_machine(spec.topology());
+        const auto ww = sssp::run_solver("acic", ww_machine, csr,
+                                         spec.source, work_window);
         ww_time += ww.sssp.metrics.sim_time_s();
         ww_updates +=
             static_cast<double>(ww.sssp.metrics.updates_created);

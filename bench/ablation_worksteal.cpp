@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "bench/bench_common.hpp"
+#include "src/sssp/solver.hpp"
 #include "src/util/rng.hpp"
 
 int main(int argc, char** argv) {
@@ -45,13 +46,15 @@ int main(int argc, char** argv) {
         spec.scale = scale;
         spec.nodes = nodes;
         spec.seed = util::derive_seed(43, trial);
-        stats::AlgoParams params;
-        params.acic.steal_threshold_degree = variant.steal;
-        params.acic.hub_split_degree = variant.hub_split;
-        const auto outcome =
-            stats::run_experiment(stats::Algo::kAcic, spec, params);
-        time_s += outcome.sssp.metrics.sim_time_s();
-        imbalance += outcome.busy_imbalance;
+        sssp::SolverOptions solver_opts;
+        solver_opts.acic.steal_threshold_degree = variant.steal;
+        solver_opts.acic.hub_split_degree = variant.hub_split;
+        const graph::Csr csr = stats::build_graph(spec);
+        runtime::Machine machine(spec.topology());
+        const auto run =
+            sssp::run_solver("acic", machine, csr, spec.source, solver_opts);
+        time_s += run.sssp.metrics.sim_time_s();
+        imbalance += run.telemetry.busy_imbalance;
       }
       table.add_row({stats::graph_kind_name(kind), variant.name,
                      util::strformat("%.5f", time_s / trials),

@@ -14,6 +14,9 @@
 #include <cstdio>
 
 #include "bench/bench_common.hpp"
+#include "src/core/acic.hpp"
+#include "src/graph/partition.hpp"
+#include "src/runtime/machine.hpp"
 
 int main(int argc, char** argv) {
   using namespace acic;
@@ -26,23 +29,23 @@ int main(int argc, char** argv) {
   spec.nodes = static_cast<std::uint32_t>(opts.get_int("nodes", 6));
   spec.seed = static_cast<std::uint64_t>(opts.get_int("seed", 1));
 
-  stats::AlgoParams params;
-  params.acic.p_tram = opts.get_double("p-tram", 0.1);  // the paper's fig. 1 run
-  params.acic.record_histograms = true;
+  core::AcicConfig config;
+  config.p_tram = opts.get_double("p-tram", 0.1);  // the paper's fig. 1 run
+  config.record_histograms = true;
 
   std::printf(
       "Figure 1: aggregated histogram at the root, mid-run "
       "(rmat scale=%u, %u PEs, p_tram=%.2f, %zu buckets)  "
       "[paper: one 48-PE node]\n",
-      spec.scale, spec.topology().num_pes(), params.acic.p_tram,
-      params.acic.num_buckets);
+      spec.scale, spec.topology().num_pes(), config.p_tram,
+      config.num_buckets);
 
   const graph::Csr csr = stats::build_graph(spec);
   runtime::Machine machine(spec.topology());
   const auto partition =
       graph::Partition1D::block(csr.num_vertices(), machine.num_pes());
   const core::AcicRunResult run = core::acic_sssp(
-      machine, csr, partition, spec.source, params.acic);
+      machine, csr, partition, spec.source, config);
 
   if (run.histograms.empty()) {
     std::printf("no snapshots recorded\n");

@@ -6,6 +6,9 @@
 #include <cstdio>
 
 #include "bench/bench_common.hpp"
+#include "src/core/acic.hpp"
+#include "src/graph/partition.hpp"
+#include "src/runtime/machine.hpp"
 
 int main(int argc, char** argv) {
   using namespace acic;

@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "bench/bench_common.hpp"
+#include "src/sssp/solver.hpp"
 #include "src/util/rng.hpp"
 
 int main(int argc, char** argv) {
@@ -37,14 +38,15 @@ int main(int argc, char** argv) {
     double superseded = 0.0;
     for (std::uint32_t trial = 0; trial < trials; ++trial) {
       spec.seed = util::derive_seed(13, trial);
-      stats::AlgoParams params;
-      params.acic.p_pq = p;
-      const auto outcome =
-          stats::run_experiment(stats::Algo::kAcic, spec, params);
-      time_s += outcome.sssp.metrics.sim_time_s();
-      created += static_cast<double>(outcome.sssp.metrics.updates_created);
-      superseded +=
-          static_cast<double>(outcome.sssp.metrics.updates_superseded);
+      sssp::SolverOptions solver_opts;
+      solver_opts.acic.p_pq = p;
+      const graph::Csr csr = stats::build_graph(spec);
+      runtime::Machine machine(spec.topology());
+      const auto run =
+          sssp::run_solver("acic", machine, csr, spec.source, solver_opts);
+      time_s += run.sssp.metrics.sim_time_s();
+      created += static_cast<double>(run.sssp.metrics.updates_created);
+      superseded += static_cast<double>(run.sssp.metrics.updates_superseded);
     }
     time_s /= trials;
     created /= trials;

@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "bench/bench_common.hpp"
+#include "src/sssp/solver.hpp"
 #include "src/util/rng.hpp"
 
 int main(int argc, char** argv) {
@@ -53,11 +54,13 @@ int main(int argc, char** argv) {
         spec.scale = scale;
         spec.nodes = nodes;
         spec.seed = util::derive_seed(17, trial);
-        stats::AlgoParams params;
-        params.set_buffer_items(buffer);
-        const auto outcome =
-            stats::run_experiment(stats::Algo::kAcic, spec, params);
-        time_s += outcome.sssp.metrics.sim_time_s();
+        sssp::SolverOptions solver_opts;
+        solver_opts.acic.tram.buffer_items = buffer;
+        const graph::Csr csr = stats::build_graph(spec);
+        runtime::Machine machine(spec.topology());
+        time_s += sssp::run_solver("acic", machine, csr, spec.source,
+                                   solver_opts)
+                      .sssp.metrics.sim_time_s();
       }
       time_s /= trials;
       row.push_back(util::strformat("%.5f", time_s));

@@ -8,6 +8,7 @@
 #include "bench/bench_common.hpp"
 #include "src/baselines/sequential.hpp"
 #include "src/graph/validate.hpp"
+#include "src/sssp/solver.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/stats.hpp"
 
@@ -47,10 +48,12 @@ int main(int argc, char** argv) {
     } while (csr.out_degree(root) == 0);
     spec.source = root;
 
+    runtime::Machine acic_machine(spec.topology());
     const auto acic_run =
-        stats::run_algorithm(stats::Algo::kAcic, csr, spec);
-    const auto riken_run =
-        stats::run_algorithm(stats::Algo::kRiken, csr, spec);
+        sssp::run_solver("acic", acic_machine, csr, spec.source);
+    runtime::Machine riken_machine(spec.topology());
+    const auto riken_run = sssp::run_solver(
+        "delta_stepping_2d", riken_machine, csr, spec.source);
     acic_teps.push_back(acic_run.sssp.metrics.teps());
     riken_teps.push_back(riken_run.sssp.metrics.teps());
 

@@ -160,8 +160,11 @@ int solve_and_report(const util::Options& opts, const graph::Csr& csr) {
       std::chrono::steady_clock::now() - start;
 
   const std::uint64_t checksum = checksum_distances(run.sssp.dist);
-  std::printf("%s: wall=%.1fs sim=%.0fus updates=%llu\n", solver.c_str(),
-              wall.count(), run.sssp.metrics.sim_time_us,
+  // threads= is the shard count the engine ran: --threads clamped to
+  // --nodes.
+  std::printf("%s: wall=%.1fs threads=%u sim=%.0fus updates=%llu\n",
+              solver.c_str(), wall.count(), machine.last_threads_used(),
+              run.sssp.metrics.sim_time_us,
               static_cast<unsigned long long>(
                   run.sssp.metrics.updates_created));
   std::printf("OOC_CHECKSUM=%016" PRIx64 "\n", checksum);

@@ -11,8 +11,10 @@
 //
 //   ./examples/road_network [--scale N] [--nodes M] [--seed S]
 
+#include <algorithm>
 #include <cstdio>
 
+#include "src/sssp/solver.hpp"
 #include "src/stats/experiment.hpp"
 #include "src/util/options.hpp"
 #include "src/util/table.hpp"
@@ -32,8 +34,12 @@ int main(int argc, char** argv) {
               "(bidirectional grid + highway shortcuts)\n",
               csr.num_vertices(), csr.num_edges());
 
-  const auto acic_run =
-      stats::run_algorithm(stats::Algo::kAcic, csr, spec);
+  const auto solve = [&](const char* solver,
+                         const sssp::SolverOptions& solver_opts) {
+    runtime::Machine machine(spec.topology());
+    return sssp::run_solver(solver, machine, csr, spec.source, solver_opts);
+  };
+  const sssp::SolverRun acic_run = solve("acic", {});
   double max_dist = 0.0;
   for (const graph::Dist d : acic_run.sssp.dist) {
     if (d != graph::kInfDist) max_dist = std::max(max_dist, d);
@@ -41,20 +47,23 @@ int main(int argc, char** argv) {
   std::printf("graph diameter from the depot (vertex 0): %.0f cost "
               "units — a long-haul workload\n\n", max_dist);
 
-  const auto riken_run =
-      stats::run_algorithm(stats::Algo::kRiken, csr, spec);
-  const auto delta1d_run =
-      stats::run_algorithm(stats::Algo::kDelta1D, csr, spec);
-  const auto kla_run = stats::run_algorithm(stats::Algo::kKla, csr, spec);
+  const sssp::SolverRun riken_run = solve("delta_stepping_2d", {});
+  // The 1-D comparison point is pure Δ-stepping; the hybrid
+  // Bellman-Ford tail belongs to the RIKEN-style 2-D run.
+  sssp::SolverOptions pure_delta;
+  pure_delta.delta.hybrid_bellman_ford = false;
+  const sssp::SolverRun delta1d_run =
+      solve("delta_stepping_dist", pure_delta);
+  const sssp::SolverRun kla_run = solve("kla", {});
 
   util::Table table({"algorithm", "time_ms", "sync_rounds", "updates"});
   for (const auto* run :
        {&acic_run, &riken_run, &delta1d_run, &kla_run}) {
     table.add_row(
-        {stats::algo_name(run->algo),
+        {run->telemetry.solver,
          util::strformat("%.3f", run->sssp.metrics.sim_time_us / 1000.0),
-         util::strformat("%llu",
-                         static_cast<unsigned long long>(run->cycles)),
+         util::strformat("%llu", static_cast<unsigned long long>(
+                                     run->telemetry.cycles)),
          util::strformat("%llu", static_cast<unsigned long long>(
                                      run->sssp.metrics.updates_created))});
   }

@@ -15,6 +15,7 @@
 #include <cstdio>
 
 #include "src/graph/degree_stats.hpp"
+#include "src/sssp/solver.hpp"
 #include "src/stats/experiment.hpp"
 #include "src/util/options.hpp"
 #include "src/util/table.hpp"
@@ -43,8 +44,9 @@ int main(int argc, char** argv) {
               degrees.gini, degrees.isolated);
 
   std::printf("\ndistance distribution of influence from account 0:\n");
+  runtime::Machine acic_machine(spec.topology());
   const auto acic_run =
-      stats::run_algorithm(stats::Algo::kAcic, csr, spec);
+      sssp::run_solver("acic", acic_machine, csr, spec.source);
   std::size_t reachable = 0;
   double max_dist = 0.0;
   for (const graph::Dist d : acic_run.sssp.dist) {
@@ -56,17 +58,18 @@ int main(int argc, char** argv) {
   std::printf("  %zu of %u accounts reachable; eccentricity %.1f\n",
               reachable, csr.num_vertices(), max_dist);
 
+  runtime::Machine riken_machine(spec.topology());
   const auto riken_run =
-      stats::run_algorithm(stats::Algo::kRiken, csr, spec);
+      sssp::run_solver("delta_stepping_2d", riken_machine, csr, spec.source);
 
   util::Table table({"algorithm", "time_ms", "updates", "pe_imbalance"});
   for (const auto* run : {&acic_run, &riken_run}) {
     table.add_row(
-        {stats::algo_name(run->algo),
+        {run->telemetry.solver,
          util::strformat("%.3f", run->sssp.metrics.sim_time_us / 1000.0),
          util::strformat("%llu", static_cast<unsigned long long>(
                                      run->sssp.metrics.updates_created)),
-         util::strformat("%.2f", run->busy_imbalance)});
+         util::strformat("%.2f", run->telemetry.busy_imbalance)});
   }
   std::printf("\n");
   table.print();

@@ -416,10 +416,7 @@ class Delta2DEngine {
   }
 
   std::optional<std::vector<double>> on_root(const std::vector<double>& sum) {
-    const bool equal = sum[kSent] == sum[kRecv];
-    const bool stable = equal && drained_armed_ && sum[kSent] == last_sent_;
-    drained_armed_ = equal;
-    last_sent_ = sum[kSent];
+    const bool stable = drain_.observe(sum[kSent], sum[kRecv]);
     pending_settled_ += sum[kSettled];
 
     if (!stable) {
@@ -434,7 +431,6 @@ class Delta2DEngine {
     summary.newly_settled = pending_settled_;
     summary.dirty_count = sum[kDirty];
     pending_settled_ = 0.0;
-    drained_armed_ = false;
 
     const DeltaController::Decision decision = controller_.decide(summary);
     return std::vector<double>{
@@ -470,8 +466,7 @@ class Delta2DEngine {
   std::vector<PeState> pes_;
   std::unique_ptr<runtime::Reducer> reducer_;
 
-  bool drained_armed_ = false;
-  double last_sent_ = -1.0;
+  runtime::DrainRule drain_;
   double pending_settled_ = 0.0;
 };
 

@@ -420,11 +420,7 @@ class DeltaEngine {
   /// Root: require a drained barrier (sent == recv, stable across two
   /// rounds) before consulting the schedule controller.
   std::optional<std::vector<double>> on_root(const std::vector<double>& sum) {
-    const bool equal = sum[kSent] == sum[kRecv];
-    const bool stable = equal && drained_armed_ &&
-                        sum[kSent] == last_sent_;
-    drained_armed_ = equal;
-    last_sent_ = sum[kSent];
+    const bool stable = drain_.observe(sum[kSent], sum[kRecv]);
     pending_settled_ += sum[kSettled];
 
     if (!stable) {
@@ -440,7 +436,6 @@ class DeltaEngine {
     summary.newly_settled = pending_settled_;
     summary.dirty_count = sum[kDirty];
     pending_settled_ = 0.0;
-    drained_armed_ = false;  // next superstep needs a fresh drain
 
     const DeltaController::Decision decision = controller_.decide(summary);
     return std::vector<double>{
@@ -479,8 +474,7 @@ class DeltaEngine {
   std::unique_ptr<runtime::Reducer> reducer_;
 
   // Root-side drain state.
-  bool drained_armed_ = false;
-  double last_sent_ = -1.0;
+  runtime::DrainRule drain_;
   double pending_settled_ = 0.0;
 };
 

@@ -258,10 +258,7 @@ class KlaEngine {
   }
 
   std::optional<std::vector<double>> on_root(const std::vector<double>& sum) {
-    const bool equal = sum[kSent] == sum[kRecv];
-    const bool stable = equal && drained_armed_ && sum[kSent] == last_sent_;
-    drained_armed_ = equal;
-    last_sent_ = sum[kSent];
+    const bool stable = drain_.observe(sum[kSent], sum[kRecv]);
     pending_changed_ += sum[kChanged];
 
     if (!stable) {
@@ -269,7 +266,6 @@ class KlaEngine {
           static_cast<double>(static_cast<int>(KlaCmd::kNoop)),
           static_cast<double>(k_)};
     }
-    drained_armed_ = false;
 
     if (sum[kDeferred] == 0.0) {
       return std::vector<double>{
@@ -325,8 +321,7 @@ class KlaEngine {
   std::unique_ptr<UpdateTram> tram_;
   std::unique_ptr<runtime::Reducer> reducer_;
 
-  bool drained_armed_ = false;
-  double last_sent_ = -1.0;
+  runtime::DrainRule drain_;
   double pending_changed_ = 0.0;
   double prev_changed_ = 0.0;
   std::uint64_t supersteps_ = 0;

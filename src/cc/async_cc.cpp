@@ -235,14 +235,10 @@ class AsyncCcEngine {
         machine_, payload_width(),
         [this](Pe&, std::uint64_t, const std::vector<double>& sum)
             -> std::optional<std::vector<double>> {
-          const double created = sum[config_.num_buckets];
-          const double processed = sum[config_.num_buckets + 1];
-          const bool equal = created == processed;
-          if (equal && armed_ && created == last_created_) {
+          if (drain_.observe(sum[config_.num_buckets],
+                             sum[config_.num_buckets + 1])) {
             return std::vector<double>{0.0, 1.0};
           }
-          armed_ = equal;
-          last_created_ = created;
 
           const std::vector<double> histogram(
               sum.begin(), sum.begin() + config_.num_buckets);
@@ -286,8 +282,7 @@ class AsyncCcEngine {
   std::unique_ptr<tram::Tram<LabelUpdate>> tram_;
   std::unique_ptr<runtime::Reducer> reducer_;
 
-  bool armed_ = false;
-  double last_created_ = -1.0;
+  runtime::DrainRule drain_;
 };
 
 }  // namespace

@@ -176,16 +176,10 @@ class BspCcEngine {
         machine_, kSlots,
         [this](Pe&, std::uint64_t, const std::vector<double>& sum)
             -> std::optional<std::vector<double>> {
-          const bool equal = sum[kSent] == sum[kRecv];
-          const bool stable =
-              equal && armed_ && sum[kSent] == last_sent_;
-          armed_ = equal;
-          last_sent_ = sum[kSent];
-          if (!stable) {
+          if (!drain_.observe(sum[kSent], sum[kRecv])) {
             return std::vector<double>{
                 static_cast<double>(static_cast<int>(Cmd::kNoop))};
           }
-          armed_ = false;
           if (sum[kDirty] == 0.0) {
             return std::vector<double>{
                 static_cast<double>(static_cast<int>(Cmd::kDone))};
@@ -220,8 +214,7 @@ class BspCcEngine {
   std::unique_ptr<tram::Tram<LabelUpdate>> tram_;
   std::unique_ptr<runtime::Reducer> reducer_;
 
-  bool armed_ = false;
-  double last_sent_ = -1.0;
+  runtime::DrainRule drain_;
   std::uint64_t supersteps_ = 0;
   std::uint64_t sweeps_seen_ = 0;
 };

@@ -243,53 +243,39 @@ class AcicEngine::Impl {
     // scheduled so the initial reduction can never observe a spurious
     // created == processed (a cold run terminating at 0 == 0 before the
     // source update lands would be wrong; a warm run with no seeds is
-    // *correctly* quiescent, so its empty injection is fine).
-    const runtime::SimTime start = options_.start_time_us;
+    // *correctly* quiescent, so its empty injection is fine).  The seeds
+    // are a warm repair's in vector order, or each lane's (source, 0) in
+    // lane order, one lane being the single-source run.  Each owner
+    // creates its seeds in list order: one deterministic schedule however
+    // many seeds there are and wherever they live.
+    struct Seed {
+      VertexId vertex;
+      Dist dist;
+      std::uint32_t lane;
+    };
+    std::vector<std::vector<Seed>> by_owner(machine_.num_pes());
     if (options_.warm_dist != nullptr) {
-      // Warm start: inject the repair seeds, grouped by owner so each
-      // owner creates its seeds in vector order — one deterministic
-      // schedule regardless of how many seeds a repair produced.
-      std::vector<std::vector<Update>> by_owner(machine_.num_pes());
       for (const Update& seed : options_.seeds) {
         ACIC_ASSERT(seed.vertex < csr.num_vertices());
-        by_owner[partition_.owner(seed.vertex)].push_back(seed);
-      }
-      for (PeId p = 0; p < machine_.num_pes(); ++p) {
-        if (by_owner[p].empty()) continue;
-        machine_.schedule_at(
-            start, p, [this, seeds = std::move(by_owner[p])](Pe& pe) {
-              for (const Update& seed : seeds) {
-                create_seed(pe, seed.vertex, seed.dist, /*lane=*/0);
-              }
-            });
-      }
-    } else if (num_lanes_ > 1) {
-      // Batched multi-source: every lane's (source, 0) seed, grouped by
-      // owner in lane order — one deterministic schedule per batch
-      // regardless of where the sources live.
-      struct LaneSeed {
-        VertexId vertex;
-        std::uint32_t lane;
-      };
-      std::vector<std::vector<LaneSeed>> by_owner(machine_.num_pes());
-      for (std::uint32_t lane = 0; lane < num_lanes_; ++lane) {
-        const VertexId s = options_.sources[lane];
-        by_owner[partition_.owner(s)].push_back(LaneSeed{s, lane});
-      }
-      for (PeId p = 0; p < machine_.num_pes(); ++p) {
-        if (by_owner[p].empty()) continue;
-        machine_.schedule_at(
-            start, p, [this, seeds = std::move(by_owner[p])](Pe& pe) {
-              for (const LaneSeed& seed : seeds) {
-                create_seed(pe, seed.vertex, 0.0, seed.lane);
-              }
-            });
+        by_owner[partition_.owner(seed.vertex)].push_back(
+            Seed{seed.vertex, seed.dist, /*lane=*/0});
       }
     } else {
-      const PeId source_owner = partition_.owner(source_);
-      machine_.schedule_at(start, source_owner, [this](Pe& pe) {
-        create_seed(pe, source_, 0.0, /*lane=*/0);
-      });
+      for (std::uint32_t lane = 0; lane < num_lanes_; ++lane) {
+        // sources[0] == source_; a single-source run may leave it empty.
+        const VertexId s = lane == 0 ? source_ : options_.sources[lane];
+        by_owner[partition_.owner(s)].push_back(Seed{s, 0.0, lane});
+      }
+    }
+    const runtime::SimTime start = options_.start_time_us;
+    for (PeId p = 0; p < machine_.num_pes(); ++p) {
+      if (by_owner[p].empty()) continue;
+      machine_.schedule_at(
+          start, p, [this, seeds = std::move(by_owner[p])](Pe& pe) {
+            for (const Seed& seed : seeds) {
+              create_seed(pe, seed.vertex, seed.dist, seed.lane);
+            }
+          });
     }
     for (PeId p = 0; p < machine_.num_pes(); ++p) {
       machine_.schedule_at(start, p, [this](Pe& pe) { contribute(pe); });
@@ -753,12 +739,9 @@ class AcicEngine::Impl {
         finalized >= static_cast<double>(config_.expected_reachable)) {
       return std::vector<double>{0.0, 0.0, 1.0, 0.0};  // terminate
     }
-    const bool equal = created == processed;
-    if (equal && root_armed_ && created == root_last_created_) {
+    if (root_drain_.observe(created, processed)) {
       return std::vector<double>{0.0, 0.0, 1.0, 0.0};  // terminate
     }
-    root_armed_ = equal;
-    root_last_created_ = created;
 
     const std::vector<double> histogram(sum.begin() + kPayloadHead,
                                         sum.end());
@@ -915,9 +898,7 @@ class AcicEngine::Impl {
   std::unique_ptr<UpdateTram> tram_;
   std::unique_ptr<runtime::Reducer> reducer_;
 
-  // Root-side termination double-check state.
-  bool root_armed_ = false;
-  double root_last_created_ = -1.0;
+  runtime::DrainRule root_drain_;  // termination: created == processed
 
   std::vector<HistogramSnapshot> snapshots_;
 

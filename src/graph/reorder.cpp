@@ -71,11 +71,11 @@ std::vector<VertexId> degree_desc_permutation(const Csr& csr) {
   return perm;
 }
 
-/// BFS visitation order from `root`, expanding adjacency rows in their
+/// BFS visitation order from vertex 0, expanding adjacency rows in their
 /// canonical (dst, weight) order — a FIFO frontier, so a vertex's label
-/// is its discovery rank.  Vertices unreachable from the root keep their
+/// is its discovery rank.  Vertices unreachable from vertex 0 keep their
 /// relative order, appended after the reachable set.
-std::vector<VertexId> bfs_permutation(const Csr& csr, VertexId root) {
+std::vector<VertexId> bfs_permutation(const Csr& csr) {
   const VertexId n = csr.num_vertices();
   constexpr VertexId kUnassigned = kInvalidVertex;
   std::vector<VertexId> perm(n, kUnassigned);
@@ -83,8 +83,8 @@ std::vector<VertexId> bfs_permutation(const Csr& csr, VertexId root) {
   queue.reserve(n);
   VertexId next = 0;
 
-  perm[root] = next++;
-  queue.push_back(root);
+  perm[0] = next++;
+  queue.push_back(0);
   for (std::size_t head = 0; head < queue.size(); ++head) {
     const VertexId v = queue[head];
     for (const Neighbor& nb : csr.out_neighbors(v)) {
@@ -103,8 +103,7 @@ std::vector<VertexId> bfs_permutation(const Csr& csr, VertexId root) {
 
 }  // namespace
 
-std::vector<VertexId> make_permutation(const Csr& csr, ReorderMode mode,
-                                       VertexId bfs_root) {
+std::vector<VertexId> make_permutation(const Csr& csr, ReorderMode mode) {
   const VertexId n = csr.num_vertices();
   switch (mode) {
     case ReorderMode::kIdentity: {
@@ -115,18 +114,16 @@ std::vector<VertexId> make_permutation(const Csr& csr, ReorderMode mode,
     case ReorderMode::kDegreeDesc:
       return degree_desc_permutation(csr);
     case ReorderMode::kBfs:
-      ACIC_ASSERT(n == 0 || bfs_root < n);
       if (n == 0) return {};
-      return bfs_permutation(csr, bfs_root);
+      return bfs_permutation(csr);
   }
   ACIC_ASSERT_MSG(false, "invalid ReorderMode");
   return {};
 }
 
-Remap::Remap(const Csr& csr, ReorderMode mode, unsigned threads,
-             VertexId bfs_root)
+Remap::Remap(const Csr& csr, ReorderMode mode, unsigned threads)
     : mode_(mode),
-      perm_(make_permutation(csr, mode, bfs_root)),
+      perm_(make_permutation(csr, mode)),
       inverse_(invert_permutation(perm_)),
       permuted_(csr.permuted(perm_, threads)) {}
 

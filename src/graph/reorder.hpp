@@ -14,7 +14,7 @@
 //                    original id): RMAT's hubs cluster into the first
 //                    partition ranges and the first cache lines of the
 //                    distance array, where almost all traffic lands.
-//   * bfs          — BFS visitation order from a root ("Gorder-lite"):
+//   * bfs          — BFS visitation order from vertex 0 ("Gorder-lite"):
 //                    neighbors get nearby labels, so an expansion's
 //                    updates cluster into few partitions/cache lines.
 //
@@ -41,10 +41,11 @@ const char* reorder_mode_name(ReorderMode mode);
 ReorderMode reorder_mode_from_string(const std::string& name);
 
 /// Builds the relabeling permutation for `mode` (perm[old] = new).
-/// `bfs_root` seeds the BFS order; unreachable vertices are appended in
-/// ascending original id.  Deterministic for a given (csr, mode, root).
-std::vector<VertexId> make_permutation(const Csr& csr, ReorderMode mode,
-                                       VertexId bfs_root = 0);
+/// kBfs numbers vertices in BFS discovery order from vertex 0, whatever
+/// the query source, so one permuted graph serves every source;
+/// unreachable vertices are appended in ascending original id.
+/// Deterministic for a given (csr, mode).
+std::vector<VertexId> make_permutation(const Csr& csr, ReorderMode mode);
 
 /// inv[perm[v]] == v for all v; asserts `perm` is a permutation.
 std::vector<VertexId> invert_permutation(const std::vector<VertexId>& perm);
@@ -59,8 +60,7 @@ class Remap {
  public:
   /// Builds perm for `mode` and the permuted CSR (`threads` parallelizes
   /// the relabel; the result is identical at any thread count).
-  Remap(const Csr& csr, ReorderMode mode, unsigned threads = 1,
-        VertexId bfs_root = 0);
+  Remap(const Csr& csr, ReorderMode mode, unsigned threads = 1);
 
   ReorderMode mode() const { return mode_; }
   const Csr& csr() const { return permuted_; }

@@ -187,18 +187,10 @@ TerminationDetector::TerminationDetector(
       // Root handler: decide continue (payload {0}) vs terminate ({1}).
       [this](Pe&, std::uint64_t, const std::vector<double>& sum)
           -> std::optional<std::vector<double>> {
-        const double created = sum[0];
-        const double processed = sum[1];
-        const bool equal = created == processed;
-        // Paper rule: equal in two consecutive reductions with unchanged
-        // values (guards the counters-equal-but-messages-in-flight race).
-        if (equal && armed_ && created == last_created_) {
+        if (drain_.observe(sum[0], sum[1])) {
           terminated_ = true;
           return std::vector<double>{1.0};
         }
-        armed_ = equal;
-        last_created_ = created;
-        last_processed_ = processed;
         return std::vector<double>{0.0};
       },
       // Broadcast handler: tick the application, then either stop or

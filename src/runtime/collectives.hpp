@@ -133,11 +133,34 @@ class Reducer {
   std::uint64_t cycles_completed_ = 0;
 };
 
-/// Counter-based termination detection, built on a Reducer, implementing
-/// the paper's scheme (§II.D): every PE contributes (created, processed)
-/// counters; the root terminates when the two global sums are equal *and*
+/// The paper's quiescence rule (§II.D) over two global counter sums a
+/// Reducer delivered at the root, (created, processed) or (sent,
+/// received): the counters are drained when they are equal *and*
 /// unchanged across two consecutive reductions — the double check guards
 /// against the race where counters match while messages are in flight.
+/// A drained observation disarms the rule, so the next drain needs two
+/// fresh observations: a drained-barrier engine (Δ-stepping, KLA, BSP
+/// CC) observes every barrier round and needs a fresh drain per
+/// superstep, while a terminating engine never observes again.
+class DrainRule {
+ public:
+  /// Feeds one reduction's sums; true when the counters are drained.
+  bool observe(double created, double processed) {
+    const bool equal = created == processed;
+    const bool drained = equal && armed_ && created == last_created_;
+    armed_ = equal && !drained;
+    last_created_ = created;
+    return drained;
+  }
+
+ private:
+  bool armed_ = false;  // the previous observation was equal
+  double last_created_ = -1.0;
+};
+
+/// Counter-based termination detection, built on a Reducer: every PE
+/// contributes (created, processed) counters, and the root terminates
+/// once DrainRule finds the global sums drained.
 class TerminationDetector {
  public:
   /// `counters` supplies (created, processed) for the PE; `on_tick` runs
@@ -164,10 +187,7 @@ class TerminationDetector {
   std::function<void(Pe&)> on_terminate_;
   SimTime interval_us_;
   std::unique_ptr<Reducer> reducer_;
-  // Root-side history for the two-consecutive-matches rule.
-  double last_created_ = -1.0;
-  double last_processed_ = -2.0;
-  bool armed_ = false;  // true after the first matching reduction
+  DrainRule drain_;  // root-side
   bool terminated_ = false;
 };
 

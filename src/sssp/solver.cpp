@@ -60,11 +60,11 @@ SolverRun run_acic(runtime::Machine& machine, const graph::Csr& csr,
   return out;
 }
 
+template <bool kTwoD>
 SolverRun run_delta(runtime::Machine& machine, const graph::Csr& csr,
-                    graph::VertexId source, const SolverOptions& opts,
-                    bool two_d) {
+                    graph::VertexId source, const SolverOptions& opts) {
   baselines::DeltaRunResult run;
-  if (two_d) {
+  if constexpr (kTwoD) {
     const auto partition = graph::Partition2D::squarest(csr,
                                                         machine.num_pes());
     run = baselines::delta_stepping_2d(machine, csr, partition, source,
@@ -108,13 +108,13 @@ SolverRun run_kla(runtime::Machine& machine, const graph::Csr& csr,
   return out;
 }
 
+template <bool kUsePriority>
 SolverRun run_dc(runtime::Machine& machine, const graph::Csr& csr,
-                 graph::VertexId source, const SolverOptions& opts,
-                 bool use_priority) {
+                 graph::VertexId source, const SolverOptions& opts) {
   const auto partition =
       graph::Partition1D::block(csr.num_vertices(), machine.num_pes());
   baselines::DistributedControlConfig config = opts.dc;
-  config.use_priority = use_priority;
+  config.use_priority = kUsePriority;
   auto run = baselines::distributed_control_sssp(
       machine, csr, partition, source, config, opts.time_limit_us);
   SolverRun out;
@@ -127,21 +127,10 @@ SolverRun run_dc(runtime::Machine& machine, const graph::Csr& csr,
 
 SolverRun run_sequential(runtime::Machine& /*machine*/,
                          const graph::Csr& csr, graph::VertexId source,
-                         const SolverOptions& opts) {
+                         const SolverOptions& /*opts*/) {
   baselines::SeqStats stats;
   SolverRun out;
-  if (opts.sequential_method == "dijkstra") {
-    out.sssp.dist = baselines::dijkstra(csr, source, &stats);
-  } else if (opts.sequential_method == "bellman_ford") {
-    out.sssp.dist = baselines::bellman_ford(csr, source, &stats);
-  } else if (opts.sequential_method == "delta_stepping") {
-    out.sssp.dist = baselines::delta_stepping_seq(
-        csr, source, opts.sequential_delta, &stats);
-  } else {
-    ACIC_ASSERT_MSG(false,
-                    "unknown sequential_method (expected dijkstra, "
-                    "bellman_ford or delta_stepping)");
-  }
+  out.sssp.dist = baselines::dijkstra(csr, source, &stats);
   out.sssp.metrics.updates_created = stats.relaxations;
   out.sssp.metrics.updates_processed = stats.relaxations;
   out.sssp.metrics.updates_rejected =
@@ -154,82 +143,35 @@ SolverRun run_sequential(runtime::Machine& /*machine*/,
   return out;
 }
 
-struct RegistryEntry {
-  std::string name;
-  SolverFn fn;
-  bool built_in = false;  // registered by the library; never removable
+/// One row of the solver table.  Each adapter runs one query and leaves
+/// the machine reusable.
+struct Entry {
+  const char* name;
+  SolverRun (*run)(runtime::Machine&, const graph::Csr&, graph::VertexId,
+                   const SolverOptions&);
 };
 
-std::vector<RegistryEntry>& solver_registry() {
-  static std::vector<RegistryEntry> entries = [] {
-    std::vector<RegistryEntry> built_ins;
-    auto add = [&built_ins](const char* name, SolverFn fn) {
-      built_ins.push_back(RegistryEntry{name, std::move(fn), true});
-    };
-    add("acic", run_acic);
-    add("delta_stepping_dist",
-        [](runtime::Machine& m, const graph::Csr& g, graph::VertexId s,
-           const SolverOptions& o) {
-          return run_delta(m, g, s, o, /*two_d=*/false);
-        });
-    add("delta_stepping_2d",
-        [](runtime::Machine& m, const graph::Csr& g, graph::VertexId s,
-           const SolverOptions& o) {
-          return run_delta(m, g, s, o, /*two_d=*/true);
-        });
-    add("kla", run_kla);
-    add("distributed_control",
-        [](runtime::Machine& m, const graph::Csr& g, graph::VertexId s,
-           const SolverOptions& o) {
-          return run_dc(m, g, s, o, /*use_priority=*/true);
-        });
-    add("async_baseline",
-        [](runtime::Machine& m, const graph::Csr& g, graph::VertexId s,
-           const SolverOptions& o) {
-          return run_dc(m, g, s, o, /*use_priority=*/false);
-        });
-    add("sequential", run_sequential);
-    return built_ins;
-  }();
-  return entries;
-}
+constexpr Entry kSolvers[] = {
+    {"acic", run_acic},
+    {"delta_stepping_dist", run_delta</*kTwoD=*/false>},
+    {"delta_stepping_2d", run_delta</*kTwoD=*/true>},
+    {"kla", run_kla},
+    {"distributed_control", run_dc</*kUsePriority=*/true>},
+    {"async_baseline", run_dc</*kUsePriority=*/false>},
+    {"sequential", run_sequential},
+};
 
 }  // namespace
 
 std::vector<std::string> solver_names() {
   std::vector<std::string> names;
-  names.reserve(solver_registry().size());
-  for (const RegistryEntry& entry : solver_registry()) {
-    names.push_back(entry.name);
-  }
+  for (const Entry& entry : kSolvers) names.emplace_back(entry.name);
   return names;
 }
 
 bool has_solver(const std::string& name) {
-  for (const RegistryEntry& entry : solver_registry()) {
-    if (entry.name == name) return true;
-  }
-  return false;
-}
-
-void register_solver(const std::string& name, SolverFn fn) {
-  ACIC_ASSERT_MSG(fn != nullptr, "solver function must be callable");
-  for (RegistryEntry& entry : solver_registry()) {
-    if (entry.name == name) {
-      entry.fn = std::move(fn);
-      return;
-    }
-  }
-  solver_registry().push_back(RegistryEntry{name, std::move(fn)});
-}
-
-bool unregister_solver(const std::string& name) {
-  std::vector<RegistryEntry>& entries = solver_registry();
-  for (auto it = entries.begin(); it != entries.end(); ++it) {
-    if (it->name != name) continue;
-    ACIC_ASSERT_MSG(!it->built_in, "built-in solvers cannot be unregistered");
-    entries.erase(it);
-    return true;
+  for (const Entry& entry : kSolvers) {
+    if (name == entry.name) return true;
   }
   return false;
 }
@@ -249,10 +191,10 @@ SolverRun run_solver(const std::string& name, runtime::Machine& machine,
     run.sssp.dist = remap.unmap_distances(run.sssp.dist);
     return run;
   }
-  for (const RegistryEntry& entry : solver_registry()) {
-    if (entry.name != name) continue;
+  for (const Entry& entry : kSolvers) {
+    if (name != entry.name) continue;
     if (opts.registry != nullptr) machine.set_registry(opts.registry);
-    SolverRun run = entry.fn(machine, csr, source, opts);
+    SolverRun run = entry.run(machine, csr, source, opts);
     run.telemetry.solver = name;
     run.telemetry.busy_imbalance = imbalance(run.telemetry.pe_busy_us);
     return run;

@@ -13,13 +13,13 @@
 //   auto run = sssp::run_solver("acic", machine, csr, source, opts);
 //   // run.sssp.dist, run.telemetry.cycles, run.telemetry.extra("...")
 //
-// Built-in names: "acic", "delta_stepping_dist", "delta_stepping_2d",
-// "kla", "distributed_control", "async_baseline", "sequential".  The
-// original free functions (core::acic_sssp, baselines::*) remain the
-// precise, fully-typed entry points; the registry adapters call them,
-// so both paths produce identical distances — a property the
-// solver-registry tests pin down.  New algorithms can self-register
-// with register_solver().
+// Names: "acic", "delta_stepping_dist", "delta_stepping_2d", "kla",
+// "distributed_control", "async_baseline" and "sequential" (the
+// Dijkstra oracle).  The table is fixed at compile time.  The original
+// free functions (core::acic_sssp, baselines::*) remain the precise,
+// fully-typed entry points; the registry adapters call them, so both
+// paths produce identical distances — a property the solver-registry
+// tests pin down.
 //
 // Every adapter builds its partition internally (equal-vertex block by
 // default; balanced-edge or 2-D where the algorithm calls for it) and
@@ -27,7 +27,6 @@
 // callers that only compare solvers never touch per-algorithm types.
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,7 +42,7 @@
 
 namespace acic::sssp {
 
-/// Parameters for every registered solver; defaults reproduce the
+/// Parameters for every solver in the registry; defaults reproduce the
 /// paper's tuned configuration.  Solvers read only their own section.
 struct SolverOptions {
   core::AcicConfig acic;
@@ -53,12 +52,6 @@ struct SolverOptions {
   baselines::DeltaConfig delta;
   baselines::KlaConfig kla;
   baselines::DistributedControlConfig dc;
-
-  /// Method for the "sequential" solver: "dijkstra", "bellman_ford" or
-  /// "delta_stepping".
-  std::string sequential_method = "dijkstra";
-  /// Bucket width for sequential delta-stepping (0 = heuristic).
-  double sequential_delta = 0.0;
 
   /// Vertex reordering (src/graph/reorder.hpp): when not kIdentity,
   /// run_solver relabels the graph, maps the source in, runs the solver
@@ -108,24 +101,11 @@ struct SolverRun {
   RunTelemetry telemetry;
 };
 
-/// A registered solver: runs one SSSP query on `machine` and returns
-/// distances + telemetry.  Must leave the machine reusable.
-using SolverFn = std::function<SolverRun(
-    runtime::Machine&, const graph::Csr&, graph::VertexId,
-    const SolverOptions&)>;
-
-/// Registered names, in registration order (built-ins first).
+/// Solver names, in table order.
 std::vector<std::string> solver_names();
 bool has_solver(const std::string& name);
 
-/// Registers (or replaces) a solver under `name`.
-void register_solver(const std::string& name, SolverFn fn);
-
-/// Removes the solver registered under `name`; returns false if none
-/// is.  Asserts on built-in names (a replaced built-in stays built in).
-bool unregister_solver(const std::string& name);
-
-/// Dispatches to the solver registered under `name`.  Asserts on
+/// Dispatches to the solver named `name`.  Asserts on
 /// unknown names (solver_names() enumerates the valid set).  When
 /// opts.registry is set it is attached to the machine for the duration
 /// of the run and left attached, so callers can export afterwards.

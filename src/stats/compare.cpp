@@ -1,5 +1,6 @@
 #include "src/stats/compare.hpp"
 
+#include "src/sssp/solver.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/table.hpp"
 
@@ -29,16 +30,21 @@ std::vector<CompareRow> run_comparison(const CompareSpec& spec,
         exp.nodes = nodes;
         exp.full_scale_nodes = spec.full_scale_nodes;
 
-        AlgoParams params;
-        params.set_buffer_items(spec.buffer_override != 0
-                                    ? spec.buffer_override
-                                    : paper_optimal_buffer(nodes));
+        // Only ACIC aggregates through tramlib: the 2-D grid baseline
+        // messages its rows and columns directly.
+        sssp::SolverOptions opts;
+        opts.acic.tram.buffer_items = spec.buffer_override != 0
+                                          ? spec.buffer_override
+                                          : paper_optimal_buffer(nodes);
+        opts.time_limit_us = spec.time_limit_us;
 
         const graph::Csr csr = build_graph(exp);
-        const RunOutcome acic = run_algorithm(Algo::kAcic, csr, exp,
-                                              params, spec.time_limit_us);
-        const RunOutcome riken = run_algorithm(Algo::kRiken, csr, exp,
-                                               params, spec.time_limit_us);
+        runtime::Machine acic_machine(exp.topology());
+        const sssp::SolverRun acic =
+            sssp::run_solver("acic", acic_machine, csr, exp.source, opts);
+        runtime::Machine riken_machine(exp.topology());
+        const sssp::SolverRun riken = sssp::run_solver(
+            "delta_stepping_2d", riken_machine, csr, exp.source, opts);
 
         row.acic_time_s += acic.sssp.metrics.sim_time_s();
         row.riken_time_s += riken.sssp.metrics.sim_time_s();
@@ -48,9 +54,10 @@ std::vector<CompareRow> run_comparison(const CompareSpec& spec,
             static_cast<double>(acic.sssp.metrics.updates_created);
         row.riken_updates +=
             static_cast<double>(riken.sssp.metrics.updates_created);
-        row.acic_imbalance += acic.busy_imbalance;
-        row.riken_imbalance += riken.busy_imbalance;
-        row.any_time_limit |= acic.hit_time_limit || riken.hit_time_limit;
+        row.acic_imbalance += acic.telemetry.busy_imbalance;
+        row.riken_imbalance += riken.telemetry.busy_imbalance;
+        row.any_time_limit |= acic.telemetry.hit_time_limit ||
+                              riken.telemetry.hit_time_limit;
       }
       const double t = spec.trials;
       row.acic_time_s /= t;

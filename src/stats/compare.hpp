@@ -4,9 +4,11 @@
 // node counts).  One function produces the grid; the per-figure bench
 // binaries format different columns of it.
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "src/runtime/network.hpp"
 #include "src/stats/experiment.hpp"
 
 namespace acic::stats {

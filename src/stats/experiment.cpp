@@ -1,11 +1,8 @@
 #include "src/stats/experiment.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "src/graph/generators.hpp"
-#include "src/runtime/machine.hpp"
-#include "src/sssp/solver.hpp"
 #include "src/util/assert.hpp"
 
 namespace acic::stats {
@@ -31,35 +28,6 @@ GraphKind graph_kind_from_string(const std::string& name) {
   if (name == "erdos-renyi") return GraphKind::kErdosRenyi;
   ACIC_ASSERT_MSG(false, "unknown graph kind");
   return GraphKind::kRandom;
-}
-
-const char* algo_name(Algo algo) {
-  switch (algo) {
-    case Algo::kAcic:
-      return "acic";
-    case Algo::kDelta1D:
-      return "delta-1d";
-    case Algo::kRiken:
-      return "riken-delta";
-    case Algo::kKla:
-      return "kla";
-    case Algo::kDistControl:
-      return "dist-control";
-    case Algo::kAsyncBaseline:
-      return "async-baseline";
-  }
-  return "?";
-}
-
-Algo algo_from_string(const std::string& name) {
-  if (name == "acic") return Algo::kAcic;
-  if (name == "delta-1d") return Algo::kDelta1D;
-  if (name == "riken-delta") return Algo::kRiken;
-  if (name == "kla") return Algo::kKla;
-  if (name == "dist-control") return Algo::kDistControl;
-  if (name == "async-baseline") return Algo::kAsyncBaseline;
-  ACIC_ASSERT_MSG(false, "unknown algorithm name");
-  return Algo::kAcic;
 }
 
 runtime::Topology ExperimentSpec::topology() const {
@@ -104,82 +72,6 @@ graph::Csr build_graph(const ExperimentSpec& spec) {
   }
   ACIC_ASSERT(false);
   return {};
-}
-
-void AlgoParams::set_buffer_items(std::size_t items) {
-  acic.tram.buffer_items = items;
-  delta.tram.buffer_items = items;
-  kla.tram.buffer_items = items;
-  dc.tram.buffer_items = items;
-}
-
-namespace {
-
-/// Registry name each Algo dispatches to (sssp::run_solver).
-const char* solver_name_of(Algo algo) {
-  switch (algo) {
-    case Algo::kAcic:
-      return "acic";
-    case Algo::kDelta1D:
-      return "delta_stepping_dist";
-    case Algo::kRiken:
-      return "delta_stepping_2d";
-    case Algo::kKla:
-      return "kla";
-    case Algo::kDistControl:
-      return "distributed_control";
-    case Algo::kAsyncBaseline:
-      return "async_baseline";
-  }
-  ACIC_ASSERT(false);
-  return "?";
-}
-
-}  // namespace
-
-RunOutcome run_algorithm(Algo algo, const graph::Csr& csr,
-                         const ExperimentSpec& spec,
-                         const AlgoParams& params,
-                         runtime::SimTime time_limit_us) {
-  runtime::Machine machine(spec.topology());
-  machine.set_threads(spec.threads);
-  if (spec.straggler_factor != 1.0) {
-    // Slow the last worker, not PE 0: PE 0 is the reduction root for
-    // every algorithm, and slowing it would measure root-bottleneck
-    // effects instead of compute imbalance.
-    machine.set_speed_factor(machine.num_pes() - 1,
-                             spec.straggler_factor);
-  }
-
-  sssp::SolverOptions opts;
-  opts.acic = params.acic;
-  opts.acic_balanced_partition = params.acic_balanced_partition;
-  opts.delta = params.delta;
-  opts.kla = params.kla;
-  opts.dc = params.dc;
-  opts.time_limit_us = time_limit_us;
-  // The historical 1-D comparison point is pure delta-stepping; the
-  // hybrid Bellman-Ford tail belongs to the RIKEN-style kRiken entry.
-  if (algo == Algo::kDelta1D) opts.delta.hybrid_bellman_ford = false;
-
-  auto run = sssp::run_solver(solver_name_of(algo), machine, csr,
-                              spec.source, opts);
-
-  RunOutcome outcome;
-  outcome.algo = algo;
-  outcome.sssp = std::move(run.sssp);
-  outcome.hit_time_limit = run.telemetry.hit_time_limit;
-  outcome.cycles = run.telemetry.cycles;
-  outcome.busy_imbalance = run.telemetry.busy_imbalance;
-  outcome.switched_to_bf = run.telemetry.extra("switched_to_bf") != 0.0;
-  return outcome;
-}
-
-RunOutcome run_experiment(Algo algo, const ExperimentSpec& spec,
-                          const AlgoParams& params,
-                          runtime::SimTime time_limit_us) {
-  const graph::Csr csr = build_graph(spec);
-  return run_algorithm(algo, csr, spec, params, time_limit_us);
 }
 
 }  // namespace acic::stats

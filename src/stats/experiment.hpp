@@ -1,19 +1,15 @@
 #pragma once
-// Shared experiment harness: builds the paper's workloads, runs any of
-// the implemented SSSP algorithms on a simulated multi-node machine, and
-// returns uniform metrics rows.  Every bench/ binary and example builds
-// on this so that workloads, topologies and cost models are identical
-// across comparisons.
+// Workload builders shared by the bench/ and examples/ harnesses: the
+// paper's graph kinds, the simulated machine shape and the seeded graph
+// generator, so that workloads, topologies and cost models are identical
+// across comparisons.  Solvers are dispatched by registry name through
+// sssp::run_solver (src/sssp/solver.hpp).
 
 #include <cstdint>
 #include <string>
 
-#include "src/baselines/delta_common.hpp"
-#include "src/baselines/distributed_control.hpp"
-#include "src/baselines/kla.hpp"
-#include "src/core/acic.hpp"
 #include "src/graph/csr.hpp"
-#include "src/sssp/result.hpp"
+#include "src/runtime/topology.hpp"
 
 namespace acic::stats {
 
@@ -26,18 +22,6 @@ enum class GraphKind {
 
 const char* graph_kind_name(GraphKind kind);
 GraphKind graph_kind_from_string(const std::string& name);
-
-enum class Algo {
-  kAcic,           // the paper's contribution
-  kDelta1D,        // distributed Δ-stepping, 1-D partition
-  kRiken,          // distributed Δ-stepping, 2-D partition + hybrid (RIKEN-style)
-  kKla,            // k-level asynchronous
-  kDistControl,    // distributed control (priority, no introspection)
-  kAsyncBaseline,  // §II.A baseline (expand on arrival)
-};
-
-const char* algo_name(Algo algo);
-Algo algo_from_string(const std::string& name);
 
 struct ExperimentSpec {
   GraphKind graph = GraphKind::kRandom;
@@ -62,14 +46,8 @@ struct ExperimentSpec {
   /// many workers (unit tests / micro benches).
   std::uint32_t pes_override = 0;
 
-  /// Straggler injection: scales worker PE 0's speed (1.0 = no
-  /// straggler; 0.5 = half speed).  Bulk-synchronous algorithms are
-  /// barrier-bound by the slowest PE; asynchronous ones absorb it.
-  double straggler_factor = 1.0;
-
-  /// Host worker threads for graph construction and for the simulation
-  /// engine (Machine::set_threads).  Results are identical at any value;
-  /// this is purely a wall-clock knob.
+  /// Host worker threads for graph construction (build_graph).  The
+  /// graph is identical at any value; this is purely a wall-clock knob.
   unsigned threads = 1;
 
   runtime::Topology topology() const;
@@ -78,47 +56,5 @@ struct ExperimentSpec {
 /// Generates the workload graph for `spec` (structure + weights fully
 /// determined by spec.seed).
 graph::Csr build_graph(const ExperimentSpec& spec);
-
-/// Algorithm parameter bundle; default-constructed values reproduce the
-/// paper's tuned configuration (p_tram=0.999, p_pq=0.05, WP aggregation).
-struct AlgoParams {
-  core::AcicConfig acic;
-  /// Use the balanced-edge 1-D partition for ACIC instead of the
-  /// paper's equal-vertex block partition (a lighter-weight answer to
-  /// the §V load-imbalance future work than 2-D/1.5-D repartitioning).
-  bool acic_balanced_partition = false;
-  baselines::DeltaConfig delta;
-  baselines::KlaConfig kla;
-  baselines::DistributedControlConfig dc;
-
-  /// Applies a tramlib buffer size to every algorithm's aggregator.
-  void set_buffer_items(std::size_t items);
-};
-
-struct RunOutcome {
-  Algo algo = Algo::kAcic;
-  sssp::SsspResult sssp;
-  bool hit_time_limit = false;
-  /// Load imbalance: max PE busy time / mean PE busy time.
-  double busy_imbalance = 0.0;
-  /// Extra per-algorithm detail (reduction cycles, supersteps, ...).
-  std::uint64_t cycles = 0;
-  bool switched_to_bf = false;
-};
-
-/// Runs `algo` on `csr` over a fresh machine built from `spec`.
-/// `time_limit_us` guards against configuration mistakes; a triggered
-/// limit is reported in the outcome, not fatal.
-RunOutcome run_algorithm(Algo algo, const graph::Csr& csr,
-                         const ExperimentSpec& spec,
-                         const AlgoParams& params = {},
-                         runtime::SimTime time_limit_us =
-                             runtime::kNoTimeLimit);
-
-/// Convenience: builds the graph and runs in one call.
-RunOutcome run_experiment(Algo algo, const ExperimentSpec& spec,
-                          const AlgoParams& params = {},
-                          runtime::SimTime time_limit_us =
-                              runtime::kNoTimeLimit);
 
 }  // namespace acic::stats

@@ -13,6 +13,7 @@
 #include "src/graph/partition2d.hpp"
 #include "src/graph/validate.hpp"
 #include "src/runtime/collectives.hpp"
+#include "src/sssp/solver.hpp"
 #include "src/stats/experiment.hpp"
 #include "src/tram/tram.hpp"
 
@@ -201,11 +202,11 @@ TEST(HarnessDeep, BalancedPartitionOptionFlowsThrough) {
   spec.seed = 43;
   const Csr csr = acic::stats::build_graph(spec);
   const auto expected = acic::baselines::dijkstra(csr, 0);
-  acic::stats::AlgoParams params;
-  params.acic_balanced_partition = true;
+  acic::sssp::SolverOptions opts;
+  opts.acic_balanced_partition = true;
+  Machine machine(spec.topology());
   const auto run =
-      acic::stats::run_algorithm(acic::stats::Algo::kAcic, csr, spec,
-                                 params);
+      acic::sssp::run_solver("acic", machine, csr, spec.source, opts);
   EXPECT_TRUE(
       acic::graph::compare_distances(run.sssp.dist, expected).ok);
 }

@@ -9,13 +9,15 @@
 #include "src/cc/async_cc.hpp"
 #include "src/cc/bsp_cc.hpp"
 #include "src/graph/generators.hpp"
+#include "src/sssp/solver.hpp"
 #include "src/stats/compare.hpp"
 #include "src/stats/experiment.hpp"
 
 namespace {
 
-using acic::stats::Algo;
-using acic::stats::AlgoParams;
+using acic::graph::Csr;
+using acic::sssp::SolverOptions;
+using acic::sssp::SolverRun;
 using acic::stats::ExperimentSpec;
 using acic::stats::GraphKind;
 
@@ -28,19 +30,23 @@ ExperimentSpec base_spec(GraphKind kind, std::uint32_t nodes) {
   return spec;
 }
 
+SolverRun solve(const char* solver, const Csr& csr,
+                const ExperimentSpec& spec, const SolverOptions& opts = {}) {
+  acic::runtime::Machine machine(spec.topology());
+  return acic::sssp::run_solver(solver, machine, csr, spec.source, opts);
+}
+
 TEST(PaperShapes, PqSuppressesSpeculation) {
   // Fig. 5 / §IV.E: a low p_pq creates noticeably fewer updates than a
   // fully open pq.
   const auto spec = base_spec(GraphKind::kRandom, 6);  // 48 PEs
   const auto csr = acic::stats::build_graph(spec);
-  AlgoParams low;
+  SolverOptions low;
   low.acic.p_pq = 0.05;
-  AlgoParams high;
+  SolverOptions high;
   high.acic.p_pq = 0.999;
-  const auto low_run =
-      acic::stats::run_algorithm(Algo::kAcic, csr, spec, low);
-  const auto high_run =
-      acic::stats::run_algorithm(Algo::kAcic, csr, spec, high);
+  const auto low_run = solve("acic", csr, spec, low);
+  const auto high_run = solve("acic", csr, spec, high);
   EXPECT_LT(static_cast<double>(low_run.sssp.metrics.updates_created),
             0.9 * static_cast<double>(high_run.sssp.metrics.updates_created));
 }
@@ -49,13 +55,10 @@ TEST(PaperShapes, RemovingPqExplodesUpdates) {
   // §I / ablation: the min-priority queue is the main waste suppressor.
   const auto spec = base_spec(GraphKind::kRandom, 4);
   const auto csr = acic::stats::build_graph(spec);
-  AlgoParams with_pq;
-  AlgoParams without_pq;
+  SolverOptions without_pq;
   without_pq.acic.use_pq = false;
-  const auto with_run =
-      acic::stats::run_algorithm(Algo::kAcic, csr, spec, with_pq);
-  const auto without_run =
-      acic::stats::run_algorithm(Algo::kAcic, csr, spec, without_pq);
+  const auto with_run = solve("acic", csr, spec);
+  const auto without_run = solve("acic", csr, spec, without_pq);
   EXPECT_GT(without_run.sssp.metrics.updates_created,
             2 * with_run.sssp.metrics.updates_created);
   EXPECT_GT(without_run.sssp.metrics.sim_time_us,
@@ -66,19 +69,16 @@ TEST(PaperShapes, AcicBeatsRikenOnRandomAtScaleAndLosesOnRmat) {
   // Fig. 7's two headline outcomes at 8 mini-nodes.
   const auto random_spec = base_spec(GraphKind::kRandom, 8);
   const auto random_csr = acic::stats::build_graph(random_spec);
-  const auto acic_random =
-      acic::stats::run_algorithm(Algo::kAcic, random_csr, random_spec);
+  const auto acic_random = solve("acic", random_csr, random_spec);
   const auto riken_random =
-      acic::stats::run_algorithm(Algo::kRiken, random_csr, random_spec);
+      solve("delta_stepping_2d", random_csr, random_spec);
   EXPECT_LT(acic_random.sssp.metrics.sim_time_us,
             riken_random.sssp.metrics.sim_time_us);
 
   const auto rmat_spec = base_spec(GraphKind::kRmat, 8);
   const auto rmat_csr = acic::stats::build_graph(rmat_spec);
-  const auto acic_rmat =
-      acic::stats::run_algorithm(Algo::kAcic, rmat_csr, rmat_spec);
-  const auto riken_rmat =
-      acic::stats::run_algorithm(Algo::kRiken, rmat_csr, rmat_spec);
+  const auto acic_rmat = solve("acic", rmat_csr, rmat_spec);
+  const auto riken_rmat = solve("delta_stepping_2d", rmat_csr, rmat_spec);
   EXPECT_GT(acic_rmat.sssp.metrics.sim_time_us,
             1.5 * riken_rmat.sssp.metrics.sim_time_us);
 }
@@ -88,11 +88,11 @@ TEST(PaperShapes, RmatHubsImbalanceAcicsOneDPartition) {
   // stays far more balanced on RMAT.
   const auto spec = base_spec(GraphKind::kRmat, 4);
   const auto csr = acic::stats::build_graph(spec);
-  const auto acic_run = acic::stats::run_algorithm(Algo::kAcic, csr, spec);
-  const auto riken_run =
-      acic::stats::run_algorithm(Algo::kRiken, csr, spec);
-  EXPECT_GT(acic_run.busy_imbalance, 2.0);
-  EXPECT_LT(riken_run.busy_imbalance, acic_run.busy_imbalance);
+  const auto acic_run = solve("acic", csr, spec);
+  const auto riken_run = solve("delta_stepping_2d", csr, spec);
+  EXPECT_GT(acic_run.telemetry.busy_imbalance, 2.0);
+  EXPECT_LT(riken_run.telemetry.busy_imbalance,
+            acic_run.telemetry.busy_imbalance);
 }
 
 TEST(PaperShapes, IntrospectionBeatsNoIntrospection) {
@@ -100,9 +100,8 @@ TEST(PaperShapes, IntrospectionBeatsNoIntrospection) {
   // thresholds): introspection must reduce created updates.
   const auto spec = base_spec(GraphKind::kRandom, 4);
   const auto csr = acic::stats::build_graph(spec);
-  const auto acic_run = acic::stats::run_algorithm(Algo::kAcic, csr, spec);
-  const auto dc_run =
-      acic::stats::run_algorithm(Algo::kDistControl, csr, spec);
+  const auto acic_run = solve("acic", csr, spec);
+  const auto dc_run = solve("distributed_control", csr, spec);
   EXPECT_LT(acic_run.sssp.metrics.updates_created,
             dc_run.sssp.metrics.updates_created);
 }
@@ -113,12 +112,11 @@ TEST(PaperShapes, HighDiameterFavorsAsynchrony) {
   // and more time than ACIC.
   const auto spec = base_spec(GraphKind::kRoad, 4);
   const auto csr = acic::stats::build_graph(spec);
-  const auto acic_run = acic::stats::run_algorithm(Algo::kAcic, csr, spec);
-  const auto riken_run =
-      acic::stats::run_algorithm(Algo::kRiken, csr, spec);
+  const auto acic_run = solve("acic", csr, spec);
+  const auto riken_run = solve("delta_stepping_2d", csr, spec);
   EXPECT_LT(acic_run.sssp.metrics.sim_time_us,
             riken_run.sssp.metrics.sim_time_us);
-  EXPECT_GT(riken_run.cycles, 2 * acic_run.cycles);
+  EXPECT_GT(riken_run.telemetry.cycles, 2 * acic_run.telemetry.cycles);
 }
 
 TEST(PaperShapes, AsyncCcBeatsBspCc) {

@@ -7,9 +7,11 @@
 #include <cmath>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "src/baselines/sequential.hpp"
 #include "src/graph/validate.hpp"
+#include "src/sssp/solver.hpp"
 #include "src/stats/experiment.hpp"
 #include "src/util/rng.hpp"
 
@@ -18,18 +20,38 @@ namespace {
 using acic::graph::Csr;
 using acic::graph::Dist;
 using acic::graph::kInfDist;
-using acic::stats::Algo;
 using acic::stats::ExperimentSpec;
 using acic::stats::GraphKind;
 
+// Every registry solver except the sequential oracle they must agree
+// with.
+std::vector<std::string> distributed_solvers() {
+  std::vector<std::string> names = acic::sssp::solver_names();
+  std::erase(names, "sequential");
+  return names;
+}
+
+// "delta_stepping_dist" runs as pure 1-D Δ-stepping: the hybrid
+// Bellman-Ford tail stays with the RIKEN-style "delta_stepping_2d".
+acic::sssp::SolverRun solve(const std::string& solver, const Csr& csr,
+                            const ExperimentSpec& spec,
+                            acic::runtime::SimTime time_limit_us =
+                                acic::runtime::kNoTimeLimit) {
+  acic::runtime::Machine machine(spec.topology());
+  acic::sssp::SolverOptions opts;
+  if (solver == "delta_stepping_dist") opts.delta.hybrid_bellman_ford = false;
+  opts.time_limit_us = time_limit_us;
+  return acic::sssp::run_solver(solver, machine, csr, spec.source, opts);
+}
+
 // ---- cross-algorithm properties --------------------------------------------
 
-using AlgoKind = std::tuple<Algo, GraphKind>;
+using AlgoKind = std::tuple<std::string, GraphKind>;
 
 class AlgorithmProperties : public ::testing::TestWithParam<AlgoKind> {};
 
 TEST_P(AlgorithmProperties, FixedPointAndMetricsInvariants) {
-  const auto [algo, kind] = GetParam();
+  const auto& [solver, kind] = GetParam();
   ExperimentSpec spec;
   spec.graph = kind;
   spec.scale = 10;
@@ -37,9 +59,8 @@ TEST_P(AlgorithmProperties, FixedPointAndMetricsInvariants) {
   spec.seed = 19;
   spec.nodes = 2;
   const Csr csr = acic::stats::build_graph(spec);
-  const auto outcome =
-      acic::stats::run_algorithm(algo, csr, spec, {}, 300e6);
-  ASSERT_FALSE(outcome.hit_time_limit);
+  const auto outcome = solve(solver, csr, spec, 300e6);
+  ASSERT_FALSE(outcome.telemetry.hit_time_limit);
   const auto& dist = outcome.sssp.dist;
   const auto& m = outcome.sssp.metrics;
 
@@ -81,19 +102,12 @@ TEST_P(AlgorithmProperties, FixedPointAndMetricsInvariants) {
 INSTANTIATE_TEST_SUITE_P(
     AllAlgorithmsAllKinds, AlgorithmProperties,
     ::testing::Combine(
-        ::testing::Values(Algo::kAcic, Algo::kRiken, Algo::kDelta1D,
-                          Algo::kKla, Algo::kDistControl,
-                          Algo::kAsyncBaseline),
+        ::testing::ValuesIn(distributed_solvers()),
         ::testing::Values(GraphKind::kRandom, GraphKind::kRmat,
                           GraphKind::kRoad)),
     [](const auto& info) {
-      std::string name = acic::stats::algo_name(std::get<0>(info.param));
-      name += "_";
-      name += acic::stats::graph_kind_name(std::get<1>(info.param));
-      for (char& c : name) {
-        if (c == '-') c = '_';
-      }
-      return name;
+      return std::get<0>(info.param) + "_" +
+             acic::stats::graph_kind_name(std::get<1>(info.param));
     });
 
 // ---- algorithm-independence property ----------------------------------------
@@ -108,16 +122,12 @@ TEST(Properties, AllAlgorithmsAgreeExactly) {
   spec.nodes = 2;
   const Csr csr = acic::stats::build_graph(spec);
 
-  const auto reference =
-      acic::stats::run_algorithm(Algo::kAcic, csr, spec).sssp.dist;
-  for (const Algo algo :
-       {Algo::kRiken, Algo::kDelta1D, Algo::kKla, Algo::kDistControl,
-        Algo::kAsyncBaseline}) {
-    const auto dist =
-        acic::stats::run_algorithm(algo, csr, spec).sssp.dist;
+  const auto reference = solve("acic", csr, spec).sssp.dist;
+  for (const std::string& solver : distributed_solvers()) {
+    if (solver == "acic") continue;
+    const auto dist = solve(solver, csr, spec).sssp.dist;
     const auto cmp = acic::graph::compare_distances(dist, reference);
-    EXPECT_TRUE(cmp.ok)
-        << acic::stats::algo_name(algo) << ": " << cmp.error;
+    EXPECT_TRUE(cmp.ok) << solver << ": " << cmp.error;
   }
 }
 
@@ -259,15 +269,6 @@ TEST(Harness, GraphKindNamesRoundTrip) {
     EXPECT_EQ(acic::stats::graph_kind_from_string(
                   acic::stats::graph_kind_name(kind)),
               kind);
-  }
-}
-
-TEST(Harness, AlgoNamesRoundTrip) {
-  for (const Algo algo :
-       {Algo::kAcic, Algo::kDelta1D, Algo::kRiken, Algo::kKla,
-        Algo::kDistControl, Algo::kAsyncBaseline}) {
-    EXPECT_EQ(acic::stats::algo_from_string(acic::stats::algo_name(algo)),
-              algo);
   }
 }
 

@@ -109,7 +109,7 @@ TEST(Reorder, BfsAssignsDiscoveryOrder) {
   list.add(0, 3, 1.0);
   list.add(2, 4, 1.0);
   const Csr csr = Csr::from_edge_list(list);
-  const auto perm = graph::make_permutation(csr, ReorderMode::kBfs, 0);
+  const auto perm = graph::make_permutation(csr, ReorderMode::kBfs);
   EXPECT_EQ(perm[0], 0u);
   EXPECT_EQ(perm[2], 1u);
   EXPECT_EQ(perm[3], 2u);

@@ -12,6 +12,7 @@
 namespace {
 
 using acic::runtime::IdleHandler;
+using acic::runtime::DrainRule;
 using acic::runtime::Locality;
 using acic::runtime::Machine;
 using acic::runtime::NetworkModel;
@@ -513,6 +514,22 @@ TEST(PeMeterDeathTest, UncommittedTimeIsCaughtInDebugBuilds) {
                "Meter dropped uncommitted");
 }
 #endif
+
+TEST(DrainRule, NeedsTwoEqualUnchangedObservationsAndRearms) {
+  DrainRule rule;
+  EXPECT_FALSE(rule.observe(0.0, 0.0));  // first equal observation arms
+  EXPECT_TRUE(rule.observe(0.0, 0.0));   // equal and unchanged: drained
+  // A drained observation disarms: the next drain needs two fresh ones.
+  EXPECT_FALSE(rule.observe(0.0, 0.0));
+  EXPECT_TRUE(rule.observe(0.0, 0.0));
+
+  EXPECT_FALSE(rule.observe(7.0, 5.0));  // messages in flight
+  EXPECT_FALSE(rule.observe(7.0, 7.0));  // equal: arms
+  EXPECT_FALSE(rule.observe(9.0, 9.0));  // equal but changed: arms at 9
+  EXPECT_FALSE(rule.observe(9.0, 8.0));  // unequal: disarms
+  EXPECT_FALSE(rule.observe(9.0, 9.0));
+  EXPECT_TRUE(rule.observe(9.0, 9.0));
+}
 
 TEST(TerminationDetector, DetectsQuiescenceAfterStableCounters) {
   Machine machine(Topology::tiny(4));

@@ -1,10 +1,9 @@
 // Tests for the string-keyed solver registry (src/sssp/solver.hpp):
-// the built-in name set, registry-vs-free-function equivalence (the
-// adapters call the original entry points, so both paths must produce
-// bit-identical distances and simulated times), observability neutrality
-// (attaching a registry never perturbs a run), cross-solver distance
-// agreement, register_solver/unregister_solver, and the unknown-name
-// contract.
+// the name set, registry-vs-free-function equivalence (the adapters call
+// the original entry points, so both paths must produce bit-identical
+// distances and simulated times), observability neutrality (attaching a
+// registry never perturbs a run), cross-solver distance agreement, and
+// the unknown-name contract.
 
 #include <gtest/gtest.h>
 
@@ -221,69 +220,23 @@ TEST(SolverRegistry, AllSolversAgreeWithDijkstra) {
 }
 
 TEST(SolverRegistry, SequentialMethods) {
+  // "sequential" is the Dijkstra oracle: same distances, same counters.
   const Csr csr = test_graph(8, 13);
-  const std::vector<Dist> expected = acic::baselines::dijkstra(csr, 0);
+  acic::baselines::SeqStats stats;
+  const std::vector<Dist> expected =
+      acic::baselines::dijkstra(csr, 0, &stats);
   Machine machine(Topology::tiny(1));
-  for (const char* method : {"dijkstra", "bellman_ford", "delta_stepping"}) {
-    SolverOptions opts;
-    opts.sequential_method = method;
-    const SolverRun run =
-        acic::sssp::run_solver("sequential", machine, csr, 0, opts);
-    const auto cmp = acic::graph::compare_distances(run.sssp.dist, expected);
-    EXPECT_TRUE(cmp.ok) << method << ": " << cmp.error;
-    EXPECT_GT(run.telemetry.extra("relaxations"), 0.0) << method;
-  }
-}
-
-// ---- registration and error contracts ----------------------------------
-
-TEST(SolverRegistry, RegisterSolverAddsAndReplaces) {
-  const Csr csr = test_graph(6);
-  Machine machine(Topology::tiny(2));
-  // The registry is process-wide: remove the stub however the test
-  // exits, so suites that enumerate solver_names() later in the same
-  // process never see it.
-  struct Unregister {
-    ~Unregister() { acic::sssp::unregister_solver("test_stub"); }
-  } unregister;
-
-  acic::sssp::register_solver(
-      "test_stub", [](Machine&, const Csr& g, acic::graph::VertexId,
-                      const SolverOptions&) {
-        SolverRun out;
-        out.sssp.dist.assign(g.num_vertices(), 42.0);
-        return out;
-      });
-  EXPECT_TRUE(acic::sssp::has_solver("test_stub"));
   const SolverRun run =
-      acic::sssp::run_solver("test_stub", machine, csr, 0);
-  EXPECT_DOUBLE_EQ(run.sssp.dist[0], 42.0);
-  EXPECT_EQ(run.telemetry.solver, "test_stub");
-
-  // Re-registering under the same name replaces the entry in place:
-  // the name list gains no duplicate.
-  acic::sssp::register_solver(
-      "test_stub", [](Machine&, const Csr& g, acic::graph::VertexId,
-                      const SolverOptions&) {
-        SolverRun out;
-        out.sssp.dist.assign(g.num_vertices(), 7.0);
-        return out;
-      });
-  const auto names = acic::sssp::solver_names();
-  EXPECT_EQ(std::count(names.begin(), names.end(), "test_stub"), 1);
-  EXPECT_DOUBLE_EQ(
-      acic::sssp::run_solver("test_stub", machine, csr, 0).sssp.dist[0],
-      7.0);
-
-  EXPECT_TRUE(acic::sssp::unregister_solver("test_stub"));
-  EXPECT_FALSE(acic::sssp::has_solver("test_stub"));
-  EXPECT_FALSE(acic::sssp::unregister_solver("test_stub"));
+      acic::sssp::run_solver("sequential", machine, csr, 0);
+  EXPECT_EQ(run.sssp.dist, expected);
+  EXPECT_EQ(run.telemetry.extra("relaxations"),
+            static_cast<double>(stats.relaxations));
+  EXPECT_EQ(run.telemetry.extra("improvements"),
+            static_cast<double>(stats.improvements));
+  EXPECT_EQ(run.telemetry.cycles, stats.phases);
 }
 
-TEST(SolverRegistryDeathTest, BuiltInSolversCannotBeUnregistered) {
-  EXPECT_DEATH(acic::sssp::unregister_solver("acic"),
-               "built-in solvers cannot be unregistered");
-}
+// ---- error contract -----------------------------------------------------
 
 TEST(SolverRegistryDeathTest, UnknownNameAsserts) {
   const Csr csr = test_graph(6);

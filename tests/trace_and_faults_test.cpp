@@ -11,6 +11,7 @@
 #include "src/core/acic.hpp"
 #include "src/graph/validate.hpp"
 #include "src/runtime/trace.hpp"
+#include "src/sssp/solver.hpp"
 #include "src/stats/experiment.hpp"
 
 namespace {
@@ -274,19 +275,21 @@ TEST(BalancedPartition, AcicMatchesDijkstraAndReducesHubImbalance) {
   const Csr csr = acic::stats::build_graph(spec);
   const auto expected = acic::baselines::dijkstra(csr, 0);
 
-  acic::stats::AlgoParams block;
-  const auto block_run = acic::stats::run_algorithm(
-      acic::stats::Algo::kAcic, csr, spec, block);
-  acic::stats::AlgoParams balanced;
+  Machine block_machine(spec.topology());
+  const auto block_run =
+      acic::sssp::run_solver("acic", block_machine, csr, spec.source);
+  acic::sssp::SolverOptions balanced;
   balanced.acic_balanced_partition = true;
-  const auto balanced_run = acic::stats::run_algorithm(
-      acic::stats::Algo::kAcic, csr, spec, balanced);
+  Machine balanced_machine(spec.topology());
+  const auto balanced_run = acic::sssp::run_solver(
+      "acic", balanced_machine, csr, spec.source, balanced);
 
   EXPECT_TRUE(acic::graph::compare_distances(balanced_run.sssp.dist,
                                              expected)
                   .ok);
   // Balancing out-edges cannot make the hub concentration worse.
-  EXPECT_LE(balanced_run.busy_imbalance, block_run.busy_imbalance + 0.5);
+  EXPECT_LE(balanced_run.telemetry.busy_imbalance,
+            block_run.telemetry.busy_imbalance + 0.5);
 }
 
 }  // namespace reorder
