@@ -17,7 +17,6 @@
 #include "src/cc/async_cc.hpp"
 #include "src/cc/bsp_cc.hpp"
 #include "src/cc/union_find.hpp"
-#include "src/graph/bfs.hpp"
 #include "src/graph/generators.hpp"
 #include "src/util/options.hpp"
 #include "src/util/table.hpp"

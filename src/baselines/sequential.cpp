@@ -37,34 +37,6 @@ std::vector<Dist> dijkstra(const graph::Csr& csr, VertexId source,
   return dist;
 }
 
-std::vector<Dist> bellman_ford(const graph::Csr& csr, VertexId source,
-                               SeqStats* stats) {
-  ACIC_ASSERT(source < csr.num_vertices());
-  const VertexId n = csr.num_vertices();
-  std::vector<Dist> dist(n, graph::kInfDist);
-  dist[source] = 0.0;
-
-  // Standard |V|-1 sweeps with early exit when a sweep changes nothing.
-  for (VertexId sweep = 0; sweep + 1 < std::max<VertexId>(n, 2); ++sweep) {
-    bool changed = false;
-    if (stats != nullptr) ++stats->phases;
-    for (VertexId v = 0; v < n; ++v) {
-      if (dist[v] == graph::kInfDist) continue;
-      for (const graph::Neighbor& nb : csr.out_neighbors(v)) {
-        if (stats != nullptr) ++stats->relaxations;
-        const Dist candidate = dist[v] + nb.weight;
-        if (candidate < dist[nb.dst]) {
-          if (stats != nullptr) ++stats->improvements;
-          dist[nb.dst] = candidate;
-          changed = true;
-        }
-      }
-    }
-    if (!changed) break;
-  }
-  return dist;
-}
-
 double default_delta(const graph::Csr& csr) {
   double max_weight = 0.0;
   double min_weight = graph::kInfDist;

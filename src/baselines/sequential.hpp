@@ -1,9 +1,8 @@
 #pragma once
 // Sequential SSSP reference implementations: Dijkstra (label-setting,
-// the ground truth for every test in this repository), Bellman-Ford
-// (label-correcting, the conceptual ancestor of the asynchronous
-// baseline), and sequential Δ-stepping (Meyer & Sanders 2003), which the
-// distributed Δ-stepping baseline mirrors bucket-for-bucket.
+// the ground truth for every test in this repository) and sequential
+// Δ-stepping (Meyer & Sanders 2003), which the distributed Δ-stepping
+// baseline mirrors bucket-for-bucket.
 
 #include <cstdint>
 #include <vector>
@@ -18,7 +17,7 @@ struct SeqStats {
   std::uint64_t relaxations = 0;
   /// Relaxations that improved a distance.
   std::uint64_t improvements = 0;
-  /// Phases (Δ-stepping buckets or Bellman-Ford sweeps).
+  /// Δ-stepping's light-edge phases (Dijkstra counts none).
   std::uint64_t phases = 0;
 };
 
@@ -26,11 +25,6 @@ struct SeqStats {
 std::vector<graph::Dist> dijkstra(const graph::Csr& csr,
                                   graph::VertexId source,
                                   SeqStats* stats = nullptr);
-
-/// Bellman-Ford with an early-exit sweep loop; O(V * E) worst case.
-std::vector<graph::Dist> bellman_ford(const graph::Csr& csr,
-                                      graph::VertexId source,
-                                      SeqStats* stats = nullptr);
 
 /// Sequential Δ-stepping.  `delta` of 0 selects the standard heuristic
 /// delta = max_weight / average_degree (clamped to >= min positive

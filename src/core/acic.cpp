@@ -105,10 +105,6 @@ struct alignas(64) PeState {
 
   std::size_t t_tram = 0;
   std::size_t t_pq = 0;
-  /// Lowest globally non-empty histogram bucket (from the last
-  /// broadcast); vertices with distances in strictly lower buckets are
-  /// provably final (non-negative weights).
-  std::size_t lowest_active_bucket = 0;
 
   std::uint64_t created = 0;
   std::uint64_t processed = 0;
@@ -173,8 +169,6 @@ class AcicEngine::Impl {
                       "sources[0] must equal the primary source");
       ACIC_ASSERT_MSG(options_.warm_dist == nullptr,
                       "multi-source lanes and warm start are exclusive");
-      ACIC_ASSERT_MSG(!config_.use_vertex_termination,
-                      "vertex termination is single-source only");
       ACIC_ASSERT(config_.num_buckets <= kBucketMask + 1);
       for (const VertexId s : options_.sources) {
         ACIC_ASSERT(s < csr.num_vertices());
@@ -455,13 +449,12 @@ class AcicEngine::Impl {
   void deliver_batch(Pe& pe, const UpdateMsg* items, std::size_t count,
                      runtime::SimTime deliver_us) {
     PeState& state = state_of(pe);
+    // Termination needs created == processed, so no update is in flight.
+    ACIC_ASSERT_MSG(!state.terminated, "update batch reached a retired PE");
     Pe::Meter meter(pe);
     const runtime::SimTime deliver = pe.scaled(deliver_us);
     const runtime::SimTime apply = pe.scaled(config_.costs.update_apply_us);
     const runtime::SimTime pq_op = pe.scaled(config_.costs.pq_op_us);
-    // After early termination every reachable vertex is final, so any
-    // straggler update is by definition rejectable.
-    const bool terminated = state.terminated;
     const bool use_pq = config_.use_pq;
     const std::size_t t_pq = config_.use_pq_hold ? state.t_pq : kNoHold;
     std::uint64_t rejected = 0;
@@ -477,10 +470,10 @@ class AcicEngine::Impl {
       // serves the rejection decrement and the pq/hold routing below.
       const std::size_t bucket = bucket_of(u);
       meter.add(deliver);
-      if (!terminated) meter.add(apply);
+      meter.add(apply);
       const std::size_t slot =
           lane_of(u) * state.width + (u.vertex - state.first);
-      if (terminated || u.dist >= state.dist[slot]) {
+      if (u.dist >= state.dist[slot]) {
         state.histogram.decrement(bucket);
         ++rejected;
         continue;
@@ -671,7 +664,10 @@ class AcicEngine::Impl {
   /// Payload layout: [created, processed, finalized, bucket 0, ...].
   /// The scalars lead so a contribution can end at its highest non-zero
   /// bucket (the Reducer treats missing slots as zero); on the benchmark
-  /// graphs that is bucket ~50 of 512.
+  /// graphs that is bucket ~50 of 512.  `finalized` is always 0: it is
+  /// the slot of the finalized-vertex termination the paper abandoned
+  /// (§II.D), kept so the payload's simulated size and combine charges
+  /// stay as recorded.
   static constexpr std::size_t kPayloadHead = 3;
   std::size_t payload_width() const {
     return kPayloadHead + config_.num_buckets;
@@ -687,28 +683,9 @@ class AcicEngine::Impl {
     payload.reserve(payload_width());
     payload.push_back(static_cast<double>(state.created));
     payload.push_back(static_cast<double>(state.processed));
-    payload.push_back(
-        static_cast<double>(count_finalized(pe, state)));
+    payload.push_back(0.0);  // finalized
     state.histogram.append_to(&payload);
     reducer_->contribute(pe, payload);
-  }
-
-  /// Counts owned vertices whose distance is provably final: finite and
-  /// in a bucket strictly below the lowest globally active bucket
-  /// (paper's abandoned early-termination metric; only computed when the
-  /// feature is enabled).
-  std::uint64_t count_finalized(Pe& pe, const PeState& state) {
-    if (!config_.use_vertex_termination) return 0;
-    pe.charge(config_.finalize_scan_us_per_vertex *
-              static_cast<double>(state.dist.size()));
-    std::uint64_t finalized = 0;
-    for (const Dist d : state.dist) {
-      if (d != graph::kInfDist &&
-          state.histogram.bucket_of(d) < state.lowest_active_bucket) {
-        ++finalized;
-      }
-    }
-    return finalized;
   }
 
   void build_reducer() {
@@ -731,14 +708,6 @@ class AcicEngine::Impl {
       Pe& pe, std::uint64_t cycle, const std::vector<double>& sum) {
     const double created = sum[0];
     const double processed = sum[1];
-    const double finalized = sum[2];
-    // Early termination on the finalized-vertex metric (needs the oracle
-    // reachable count; see AcicConfig::use_vertex_termination).
-    if (config_.use_vertex_termination &&
-        config_.expected_reachable > 0 &&
-        finalized >= static_cast<double>(config_.expected_reachable)) {
-      return std::vector<double>{0.0, 0.0, 1.0, 0.0};  // terminate
-    }
     if (root_drain_.observe(created, processed)) {
       return std::vector<double>{0.0, 0.0, 1.0, 0.0};  // terminate
     }
@@ -777,34 +746,9 @@ class AcicEngine::Impl {
       reg.append_histogram(obs_histogram_, cycle, pe.now(), histogram);
     }
 
-    std::size_t lowest_active = config_.num_buckets;
-    for (std::size_t b = 0; b < histogram.size(); ++b) {
-      if (histogram[b] > 0.0) {
-        lowest_active = b;
-        break;
-      }
-    }
+    // Slot 3 is unused; the broadcast keeps its recorded width.
     return std::vector<double>{static_cast<double>(t.t_tram),
-                               static_cast<double>(t.t_pq), 0.0,
-                               static_cast<double>(lowest_active)};
-  }
-
-  /// Early-termination cleanup: every update still waiting in pq,
-  /// pq_hold or tram_hold is abandoned (counted processed so the
-  /// created == processed conservation invariant survives).
-  void abandon_remaining(PeState& state) {
-    while (!state.pq.empty()) {
-      mark_processed_bucket(state, bucket_of(state.pq.top()));
-      ++state.superseded;
-      state.pq.pop();
-    }
-    std::vector<UpdateMsg> leftovers;
-    state.pq_hold.release_up_to(config_.num_buckets - 1, &leftovers);
-    state.tram_hold.release_up_to(config_.num_buckets - 1, &leftovers);
-    for (const UpdateMsg& u : leftovers) {
-      mark_processed_bucket(state, bucket_of(u));
-      ++state.superseded;
-    }
+                               static_cast<double>(t.t_pq), 0.0, 0.0};
   }
 
   /// Broadcast handler: adopt the new thresholds, release holds in
@@ -813,8 +757,11 @@ class AcicEngine::Impl {
                     const std::vector<double>& payload) {
     PeState& state = state_of(pe);
     if (payload[2] != 0.0) {
+      // Quiescence: every created update was processed, so none waits.
+      ACIC_ASSERT_MSG(state.pq.empty() && state.pq_hold.empty() &&
+                          state.tram_hold.empty(),
+                      "updates pending at termination");
       state.terminated = true;
-      abandon_remaining(state);
       // Retirement counting is per simulated node (each node owns its
       // own counter — under the parallel engine PEs of different nodes
       // retire concurrently).  The last PE of each node reports "node
@@ -836,7 +783,6 @@ class AcicEngine::Impl {
     }
     state.t_tram = static_cast<std::size_t>(payload[0]);
     state.t_pq = static_cast<std::size_t>(payload[1]);
-    state.lowest_active_bucket = static_cast<std::size_t>(payload[3]);
 
     std::vector<UpdateMsg>& release_buffer = state.release_scratch;
     release_buffer.clear();

@@ -119,9 +119,7 @@ struct AcicEngineOptions {
   /// from, but never read each other's distances.  Constraints:
   /// sources[0] must equal the constructor's `source`, at most 256 lanes
   /// (tag width), and incompatible with `warm_dist` (warm repair is a
-  /// per-query affair) and with `use_vertex_termination` (the finalized
-  /// count is defined against one source's reachable set).  Results come
-  /// back in AcicRunResult::lane_dist.
+  /// per-query affair).  Results come back in AcicRunResult::lane_dist.
   std::vector<graph::VertexId> sources;
 };
 

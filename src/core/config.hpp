@@ -85,18 +85,6 @@ struct AcicConfig {
   /// (hub split wins for vertices above this threshold).
   std::uint32_t hub_split_degree = 0;
 
-  /// The paper's abandoned early-termination experiment (§II.D): a
-  /// vertex whose distance is below the smallest active update distance
-  /// is final; when all *reachable* vertices are final the algorithm can
-  /// stop immediately, ignoring in-flight updates.  The paper dropped
-  /// this because the reachable count is unknowable up front — enabling
-  /// it therefore requires supplying `expected_reachable` from an oracle
-  /// (e.g. a prior run).  Zero keeps the default counter-based scheme.
-  bool use_vertex_termination = false;
-  std::uint64_t expected_reachable = 0;
-  /// Per-vertex CPU cost of the finalized-count scan each contribution.
-  runtime::SimTime finalize_scan_us_per_vertex = 0.001;
-
   AcicConfig() {
     tram.item_bytes = 16;  // one Update on the wire
   }

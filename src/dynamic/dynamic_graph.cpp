@@ -75,43 +75,28 @@ Csr patch_csr(const Csr& old, const std::vector<RowEdit>& edits) {
   return Csr::from_parts(std::move(offsets), std::move(neighbors));
 }
 
-/// Reverse adjacency of `csr`: row v holds Neighbor{src, weight} for
-/// every in-edge (src, v), in canonical (src, weight) order.
-Csr build_reverse(const Csr& csr) {
-  const VertexId n = csr.num_vertices();
-  graph::EdgeList reversed(n, {});
-  reversed.reserve(csr.num_edges());
-  for (VertexId v = 0; v < n; ++v) {
-    for (const Neighbor& nb : csr.out_neighbors(v)) {
-      reversed.add(nb.dst, v, nb.weight);
-    }
-  }
-  return Csr::from_edge_list(reversed);
-}
-
 }  // namespace
 
 DynamicGraph::DynamicGraph(graph::EdgeList list, unsigned threads) {
   list.remove_self_loops();
   list.remove_duplicates();
-  base_ = Csr::from_edge_list(list, threads);
-  init_from_base();
+  init_from_base(Csr::from_edge_list(list, threads));
 }
 
-DynamicGraph::DynamicGraph(graph::Csr base) : base_(std::move(base)) {
+DynamicGraph::DynamicGraph(graph::Csr base) {
 #ifndef NDEBUG
   const graph::ValidationResult check =
-      graph::validate_csr(base_, /*require_simple=*/true);
+      graph::validate_csr(base, /*require_simple=*/true);
   ACIC_ASSERT_MSG(check.ok, check.error.c_str());
 #endif
-  init_from_base();
+  init_from_base(std::move(base));
 }
 
-void DynamicGraph::init_from_base() {
+void DynamicGraph::init_from_base(graph::Csr base) {
   auto snap = std::make_shared<GraphSnapshot>();
   snap->epoch = 0;
-  snap->csr = base_;
-  snap->reverse = build_reverse(base_);
+  snap->reverse = base.reversed();
+  snap->csr = std::move(base);
   snapshot_ = std::move(snap);
   epoch_end_.assign(1, 0);
 }

@@ -25,10 +25,9 @@
 // round trip — and debug builds re-validate full CSR invariants
 // (graph::validate_csr with require_simple) after every epoch.
 //
-// The complete applied-mutation log is retained: serialization writes
-// (base CSR + log) and replays it (src/graph/serialize.hpp), and
-// applied_since(epoch) gives repair planners the exact span separating
-// a stale SSSP state from the current graph.
+// The complete applied-mutation log is retained: applied_since(epoch)
+// gives repair planners the exact span separating a stale SSSP state
+// from the current graph.
 
 #include <cstdint>
 #include <memory>
@@ -65,9 +64,6 @@ class DynamicGraph {
 
   DynamicGraph(const DynamicGraph&) = delete;
   DynamicGraph& operator=(const DynamicGraph&) = delete;
-  // Movable so loaders (graph::load_dynamic_graph) can return by value.
-  DynamicGraph(DynamicGraph&&) = default;
-  DynamicGraph& operator=(DynamicGraph&&) = default;
 
   graph::VertexId num_vertices() const { return snapshot_->csr.num_vertices(); }
   std::size_t num_edges() const { return snapshot_->csr.num_edges(); }
@@ -94,10 +90,7 @@ class DynamicGraph {
   bool edge_weight(graph::VertexId u, graph::VertexId v,
                    graph::Weight* weight) const;
 
-  /// The base (epoch 0) graph and the full applied log — together they
-  /// reproduce every epoch; src/graph/serialize.hpp persists exactly
-  /// this pair.
-  const graph::Csr& base() const { return base_; }
+  /// The full applied log, every epoch's records in apply order.
   const std::vector<AppliedMutation>& log() const { return log_; }
 
   /// Applied records strictly after `epoch` (i.e. of epochs
@@ -113,9 +106,9 @@ class DynamicGraph {
       std::uint64_t epoch) const;
 
  private:
-  void init_from_base();
+  /// Publishes `base` as the epoch-0 snapshot, with its reverse.
+  void init_from_base(graph::Csr base);
 
-  graph::Csr base_;
   std::shared_ptr<const GraphSnapshot> snapshot_;
   std::vector<AppliedMutation> log_;
   /// epoch_end_[e] = log_ size after epoch e applied (epoch_end_[0] = 0).

@@ -231,6 +231,17 @@ Csr Csr::permuted(const std::vector<VertexId>& perm,
   return out;
 }
 
+Csr Csr::reversed() const {
+  EdgeList list(num_vertices_, {});
+  list.reserve(num_edges_);
+  for (VertexId v = 0; v < num_vertices_; ++v) {
+    for (const Neighbor& nb : out_neighbors(v)) {
+      list.add(nb.dst, v, nb.weight);
+    }
+  }
+  return from_edge_list(list);
+}
+
 Csr Csr::from_parts(std::vector<std::size_t> offsets,
                     std::vector<Neighbor> neighbors) {
   ACIC_ASSERT_MSG(!offsets.empty() && offsets.front() == 0 &&

@@ -48,6 +48,12 @@ class Csr {
   Csr permuted(const std::vector<VertexId>& perm,
                unsigned threads = 1) const;
 
+  /// Returns the reverse adjacency: row v holds Neighbor{src, weight}
+  /// for every in-edge (src, v), in canonical (src, weight) order.  The
+  /// dynamic graph's snapshots and the landmark tables read in-edges
+  /// through it.
+  Csr reversed() const;
+
   /// Adopts already-built arrays.  The caller owns the invariants
   /// (offsets ascending with offsets[0] == 0 and offsets.back() ==
   /// neighbors.size(); every row sorted by (dst, weight); dst in range)

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <queue>
 #include <stdexcept>
@@ -158,68 +159,24 @@ bool probe_csr_file(const std::string& path, CsrFileHeader* header) {
   if (h.version != kCsrFileVersion) {
     throw std::runtime_error("unsupported on-disk CSR version in " + path);
   }
+  // The counts are bounded before the sizes are formed from them, and
+  // each section end before it is summed, so no term below can wrap.
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
   if (h.page_bytes != kCsrFilePageBytes ||
+      h.num_vertices > std::numeric_limits<VertexId>::max() ||
+      h.num_edges > kMax / sizeof(PackedNeighbor) ||
+      h.offsets_pos < kCsrFilePageBytes ||
       h.offsets_pos % kCsrFilePageBytes != 0 ||
       h.neighbors_pos % kCsrFilePageBytes != 0 ||
       h.offsets_bytes != (h.num_vertices + 1) * sizeof(std::uint64_t) ||
       h.neighbors_bytes != h.num_edges * sizeof(PackedNeighbor) ||
+      h.offsets_pos > kMax - h.offsets_bytes ||
+      h.neighbors_pos > kMax - h.neighbors_bytes ||
       h.neighbors_pos < h.offsets_pos + h.offsets_bytes) {
     throw std::runtime_error("malformed on-disk CSR header in " + path);
   }
   if (header != nullptr) *header = h;
   return true;
-}
-
-Csr load_csr_file(const std::string& path) {
-  CsrFileHeader h;
-  if (!probe_csr_file(path, &h)) {
-    throw std::runtime_error("not an on-disk CSR file: " + path);
-  }
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) throw std::runtime_error("cannot open on-disk CSR: " + path);
-
-  const auto fail = [&path](const char* what) -> std::runtime_error {
-    return std::runtime_error(std::string(what) + ": " + path);
-  };
-  if (std::fseek(f.get(), static_cast<long>(h.offsets_pos), SEEK_SET) != 0) {
-    throw fail("truncated on-disk CSR");
-  }
-  std::vector<std::size_t> offsets(
-      static_cast<std::size_t>(h.num_vertices) + 1);
-  if (std::fread(offsets.data(), sizeof(std::uint64_t), offsets.size(),
-                 f.get()) != offsets.size()) {
-    throw fail("truncated on-disk CSR offsets");
-  }
-  if (offsets.front() != 0 || offsets.back() != h.num_edges) {
-    throw fail("corrupt on-disk CSR offsets");
-  }
-  for (std::size_t v = 0; v < h.num_vertices; ++v) {
-    if (offsets[v] > offsets[v + 1]) throw fail("corrupt on-disk CSR offsets");
-  }
-
-  if (std::fseek(f.get(), static_cast<long>(h.neighbors_pos), SEEK_SET) !=
-      0) {
-    throw fail("truncated on-disk CSR");
-  }
-  std::vector<Neighbor> neighbors(static_cast<std::size_t>(h.num_edges));
-  std::vector<PackedNeighbor> batch(
-      std::max<std::size_t>(1, std::min(kIoBatch, neighbors.size())));
-  std::size_t filled = 0;
-  while (filled < neighbors.size()) {
-    const std::size_t n = std::min(batch.size(), neighbors.size() - filled);
-    if (std::fread(batch.data(), sizeof(PackedNeighbor), n, f.get()) != n) {
-      throw fail("truncated on-disk CSR neighbors");
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (batch[i].dst >= h.num_vertices) {
-        throw fail("corrupt on-disk CSR neighbor");
-      }
-      neighbors[filled + i] = Neighbor{batch[i].dst, batch[i].weight};
-    }
-    filled += n;
-  }
-  // from_parts re-checks the row-sort invariant in debug builds.
-  return Csr::from_parts(std::move(offsets), std::move(neighbors));
 }
 
 StreamingCsrWriter::StreamingCsrWriter(std::string path,

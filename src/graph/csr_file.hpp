@@ -18,10 +18,6 @@
 // whether written from an in-memory Csr or by the streaming builder at
 // any chunk size or thread count (the ooc tests pin this).
 //
-// The magic differs from the serialize.cpp cache magic on purpose:
-// load_csr must never silently materialize a paper-scale file, so it
-// recognizes this magic and points the caller at MappedCsr/load_csr_file.
-//
 // StreamingCsrWriter builds scale-24+ files without ever holding the
 // edge list in RAM: edges accumulate in a bounded chunk buffer, each
 // full chunk is sorted by (src, dst, weight) and spilled as a run file,
@@ -43,7 +39,7 @@
 
 namespace acic::graph {
 
-/// "ACICOOC1" — distinct from serialize.cpp's cache magic.
+/// "ACICOOC1".
 inline constexpr std::uint64_t kCsrFileMagic = 0x31434F4F43494341ULL;
 inline constexpr std::uint32_t kCsrFileVersion = 1;
 /// Section alignment.  Fixed at the classic 4 KiB page, so files written
@@ -69,15 +65,11 @@ bool write_csr_file(const Csr& csr, const std::string& path);
 
 /// Reads just the header.  Returns false (without throwing) if the file
 /// is missing or does not carry the on-disk-CSR magic; throws
-/// std::runtime_error on an unsupported version or a malformed header.
+/// std::runtime_error on an unsupported version or a malformed header:
+/// a vertex count VertexId cannot hold, section sizes that disagree with
+/// the counts, a section that is unaligned, overlaps the header page or
+/// its predecessor, or ends past 2^64.  O(1): the sections are not read.
 bool probe_csr_file(const std::string& path, CsrFileHeader* header);
-
-/// Fully materializes a CSR file into an owning in-memory Csr (the
-/// sections are streamed through a bounded buffer, then validated).
-/// Intended for tests and small graphs; paper-scale files should be
-/// opened with MappedCsr instead.  Throws std::runtime_error on any
-/// format or I/O problem.
-Csr load_csr_file(const std::string& path);
 
 /// Knobs for StreamingCsrWriter (namespace scope so it can serve as a
 /// defaulted constructor argument — a nested class's field defaults are

@@ -37,20 +37,4 @@ DegreeStats compute_degree_stats(const Csr& csr) {
   return stats;
 }
 
-std::vector<std::size_t> degree_log_histogram(const Csr& csr) {
-  std::vector<std::size_t> bins;
-  for (VertexId v = 0; v < csr.num_vertices(); ++v) {
-    const std::size_t degree = csr.out_degree(v);
-    std::size_t bin = 0;
-    std::size_t bound = 2;
-    while (degree >= bound) {
-      ++bin;
-      bound <<= 1;
-    }
-    if (bin >= bins.size()) bins.resize(bin + 1, 0);
-    ++bins[bin];
-  }
-  return bins;
-}
-
 }  // namespace acic::graph

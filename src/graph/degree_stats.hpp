@@ -21,8 +21,4 @@ struct DegreeStats {
 
 DegreeStats compute_degree_stats(const Csr& csr);
 
-/// Histogram of out-degrees in log2-sized bins: bin k counts vertices
-/// with out-degree in [2^k, 2^(k+1)); bin 0 also counts degree 0/1.
-std::vector<std::size_t> degree_log_histogram(const Csr& csr);
-
 }  // namespace acic::graph

@@ -20,6 +20,8 @@ MappedCsr::MappedCsr(const std::string& path) {
   if (fd < 0) {
     throw std::runtime_error("cannot open on-disk CSR: " + path);
   }
+  // probe_csr_file ordered the sections and ruled out wrapping, so the
+  // neighbors section ending inside the file bounds both sections.
   struct stat st = {};
   if (::fstat(fd, &st) != 0 ||
       static_cast<std::uint64_t>(st.st_size) <

@@ -206,60 +206,4 @@ bool write_timeseries_csv(const std::string& path,
   return std::fclose(f) == 0 && !write_failed;
 }
 
-bool write_counters_csv(const std::string& path, const Registry& registry) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fputs("name,scope,index,value\n", f);
-  const runtime::Topology& topo = registry.topology();
-  for (const CounterFamily& family : registry.counters()) {
-    CounterId id;
-    // Re-derive the id by name: enumeration order matches definition
-    // order, so index == position.
-    id.index = static_cast<std::size_t>(&family - registry.counters().data());
-    std::fprintf(f, "%s,machine,0,%llu\n", family.name.c_str(),
-                 static_cast<unsigned long long>(registry.total(id)));
-    for (std::uint32_t n = 0; n < topo.nodes; ++n) {
-      std::fprintf(f, "%s,node,%u,%llu\n", family.name.c_str(), n,
-                   static_cast<unsigned long long>(
-                       registry.at(id, Scope::node(n))));
-    }
-    for (std::uint32_t p = 0; p < topo.num_procs(); ++p) {
-      std::fprintf(f, "%s,process,%u,%llu\n", family.name.c_str(), p,
-                   static_cast<unsigned long long>(
-                       registry.at(id, Scope::process(p))));
-    }
-  }
-  const bool write_failed = std::ferror(f) != 0;
-  return std::fclose(f) == 0 && !write_failed;
-}
-
-bool write_histogram_csv(const std::string& path, const Registry& registry,
-                         const std::string& series_name) {
-  const HistogramSeries* series = registry.find_histogram(series_name);
-  if (series == nullptr) return false;
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::size_t width = 0;
-  for (const HistogramSample& sample : series->samples) {
-    width = std::max(width, sample.counts.size());
-  }
-  std::fputs("cycle,time_us,active", f);
-  for (std::size_t b = 0; b < width; ++b) std::fprintf(f, ",b%zu", b);
-  std::fputc('\n', f);
-  for (const HistogramSample& sample : series->samples) {
-    double active = 0.0;
-    for (const double c : sample.counts) active += c;
-    std::fprintf(f, "%llu,%.3f,%.0f",
-                 static_cast<unsigned long long>(sample.cycle),
-                 sample.time_us, active);
-    for (std::size_t b = 0; b < width; ++b) {
-      std::fprintf(f, ",%.0f",
-                   b < sample.counts.size() ? sample.counts[b] : 0.0);
-    }
-    std::fputc('\n', f);
-  }
-  const bool write_failed = std::ferror(f) != 0;
-  return std::fclose(f) == 0 && !write_failed;
-}
-
 }  // namespace acic::obs

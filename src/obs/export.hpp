@@ -16,9 +16,8 @@
 //     summary args (cycle, active updates, non-empty buckets).
 //
 // `write_timeseries_csv` dumps every counter track and series as
-// `kind,name,time_us,value` rows; `write_counters_csv` dumps counter
-// rollups at machine/node/process scope.  All writers return false on
-// I/O error and never throw.
+// `kind,name,time_us,value` rows.  Both writers return false on I/O
+// error and never throw.
 
 #include <string>
 
@@ -41,14 +40,5 @@ bool write_chrome_trace(const std::string& path,
 
 /// `kind,name,time_us,value` rows for every timed counter and series.
 bool write_timeseries_csv(const std::string& path, const Registry& registry);
-
-/// `name,scope,index,value` rollup rows (machine, per node, per process)
-/// for every counter family.
-bool write_counters_csv(const std::string& path, const Registry& registry);
-
-/// `name,cycle,time_us,active,b0,b1,...` rows for one histogram series;
-/// false if the series does not exist or on I/O error.
-bool write_histogram_csv(const std::string& path, const Registry& registry,
-                         const std::string& series_name);
 
 }  // namespace acic::obs

@@ -4,6 +4,22 @@
 
 namespace acic::obs {
 
+namespace {
+
+/// Appends (t, value) to a track.  A sample stamped earlier than the
+/// track's last one overwrites that sample's value instead, so track
+/// times never decrease and the last value is always the latest written.
+void push_point(std::vector<TimePoint>* points, runtime::SimTime t,
+                double value) {
+  if (!points->empty() && t < points->back().time_us) {
+    points->back().value = value;
+    return;
+  }
+  points->push_back(TimePoint{t, value});
+}
+
+}  // namespace
+
 const char* scope_kind_name(ScopeKind kind) {
   switch (kind) {
     case ScopeKind::kMachine:
@@ -122,24 +138,6 @@ void Registry::append_histogram(HistogramSeriesId id, std::uint64_t cycle,
   sample.time_us = time_us;
   sample.counts = counts;
   histograms_[id.index].samples.push_back(std::move(sample));
-}
-
-void Registry::set_min_sample_interval(runtime::SimTime us) {
-  ACIC_ASSERT_MSG(us >= 0.0, "sample interval must be non-negative");
-  min_sample_interval_us_ = us;
-}
-
-void Registry::push_point(std::vector<TimePoint>* points,
-                          runtime::SimTime t, double value) const {
-  // Coalesce: overwrite the previous sample when the new one is closer
-  // than the configured interval, so tracks stay bounded but their final
-  // value is always exact.
-  if (!points->empty() &&
-      t - points->back().time_us < min_sample_interval_us_) {
-    points->back().value = value;
-    return;
-  }
-  points->push_back(TimePoint{t, value});
 }
 
 const CounterFamily* Registry::find_counter(const std::string& name) const {

@@ -144,15 +144,6 @@ class Registry {
                         runtime::SimTime time_us,
                         const std::vector<double>& counts);
 
-  // ---- sampling policy -------------------------------------------------
-
-  /// Coalesces counter-track and series samples closer than `us` to the
-  /// previous sample: the newer value *overwrites* the last sample, so
-  /// the final value of every track is always exact while the sample
-  /// count stays bounded by run time / interval.  0 (default) keeps
-  /// every sample.
-  void set_min_sample_interval(runtime::SimTime us);
-
   // ---- enumeration (exporters, tests) ----------------------------------
 
   const std::vector<CounterFamily>& counters() const { return counters_; }
@@ -165,12 +156,9 @@ class Registry {
   const HistogramSeries* find_histogram(const std::string& name) const;
 
  private:
-  void push_point(std::vector<TimePoint>* points, runtime::SimTime t,
-                  double value) const;
   bool in_scope(runtime::PeId entity, Scope scope) const;
 
   runtime::Topology topology_;
-  runtime::SimTime min_sample_interval_us_ = 0.0;
   std::vector<CounterFamily> counters_;
   std::vector<Series> series_;
   std::vector<HistogramSeries> histograms_;

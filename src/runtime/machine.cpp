@@ -158,12 +158,6 @@ void Pe::send(PeId to, std::size_t bytes, Task task) {
   machine_->send(id_, to, bytes, std::move(task));
 }
 
-void Pe::enqueue_local(Task task) {
-  // A local continuation bypasses the network entirely: it lands at the
-  // back of this PE's queue at the current moment.
-  machine_->schedule_at(current_time_, id_, std::move(task));
-}
-
 Machine::Machine(Topology topology, NetworkModel network)
     : topology_(topology), network_(network) {
   topology_.validate();
@@ -473,7 +467,7 @@ void Machine::handle_exec(Shard& sh, const Event& event) {
   // that reports work.
   if (!pe.idle_handlers_.empty()) {
     const SimTime span_start = pe.current_time_;
-    pe.charge(idle_poll_cost_us_);
+    pe.charge(kIdlePollCostUs);
     ++sh.stats.idle_polls;
     if (registry_ != nullptr) [[unlikely]] {
       registry_->add(obs_->idle_polls, pe.id_, 1, pe.current_time_);

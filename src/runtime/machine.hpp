@@ -72,7 +72,7 @@
 //
 // Ownership discipline (per the HPC guides: message passing, no shared
 // mutable state): a task scheduled on PE p may mutate only state owned by
-// p; all cross-PE effects must travel through send()/enqueue_local().
+// p; all cross-PE effects must travel through send().
 // With several shards this is a hard requirement, not just a design
 // rule: a task's shard only owns the state of its own simulated nodes,
 // and the ThreadSanitizer CI job enforces it as a data-race matter.
@@ -180,9 +180,6 @@ class alignas(64) Pe {
   /// Sends a message of `bytes` bytes to PE `to`; `task` runs there after
   /// network latency + transfer time.  Charges the sender's overhead.
   void send(PeId to, std::size_t bytes, Task task);
-
-  /// Enqueues a continuation on this PE with no messaging cost.
-  void enqueue_local(Task task);
 
   /// The PE's clock and busy total held in locals across a per-item loop:
   /// add(scaled(us)) performs exactly charge(us)'s two additions, in
@@ -394,11 +391,6 @@ class Machine {
   std::uint64_t total_bytes_sent() const { return bytes_sent_; }
   std::uint64_t total_events_processed() const { return events_processed_; }
 
-  /// Overhead charged per idle-handler poll (prevents zero-time idle
-  /// loops; roughly the cost of the runtime scheduler's empty-queue
-  /// check).
-  void set_idle_poll_cost(SimTime us) { idle_poll_cost_us_ = us; }
-
   /// Attaches an execution tracer (src/runtime/trace.hpp): the machine
   /// records one span per executed task and idle poll.  Engines, trams
   /// and the query service read tracer() once, at construction, for
@@ -529,7 +521,10 @@ class Machine {
   static thread_local Shard* tls_shard_;
   IdleHandlerId next_idle_handler_id_ = 1;
   SimTime current_time_ = 0.0;
-  SimTime idle_poll_cost_us_ = 0.05;
+  /// Overhead charged per idle-handler poll (prevents zero-time idle
+  /// loops; roughly the cost of the runtime scheduler's empty-queue
+  /// check).
+  static constexpr SimTime kIdlePollCostUs = 0.05;
 
   std::uint64_t messages_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;

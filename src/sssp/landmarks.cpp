@@ -5,7 +5,6 @@
 #include <queue>
 
 #include "src/baselines/sequential.hpp"
-#include "src/graph/edge_list.hpp"
 #include "src/util/assert.hpp"
 
 namespace acic::sssp {
@@ -13,18 +12,6 @@ namespace acic::sssp {
 using graph::Csr;
 using graph::Dist;
 using graph::VertexId;
-
-graph::Csr LandmarkIndex::build_reverse(const Csr& forward) {
-  const VertexId n = forward.num_vertices();
-  graph::EdgeList reversed(n, {});
-  reversed.reserve(forward.num_edges());
-  for (VertexId v = 0; v < n; ++v) {
-    for (const graph::Neighbor& nb : forward.out_neighbors(v)) {
-      reversed.add(nb.dst, v, nb.weight);
-    }
-  }
-  return Csr::from_edge_list(reversed);
-}
 
 LandmarkIndex::LandmarkIndex(const Csr& forward, const Csr& reverse,
                              LandmarkConfig config)

@@ -89,14 +89,10 @@ class LandmarkIndex {
  public:
   /// Builds the index over `forward` and its reverse adjacency
   /// (row v = in-edges as Neighbor{src, weight} — exactly the layout
-  /// dynamic::GraphSnapshot::reverse carries).  Selection and both
-  /// tables cost 2k Dijkstras; fully deterministic.
+  /// Csr::reversed builds and dynamic::GraphSnapshot::reverse carries).
+  /// Selection and both tables cost 2k Dijkstras; fully deterministic.
   LandmarkIndex(const graph::Csr& forward, const graph::Csr& reverse,
                 LandmarkConfig config = {});
-
-  /// Builds the reverse adjacency for static callers that do not have a
-  /// GraphSnapshot at hand.
-  static graph::Csr build_reverse(const graph::Csr& forward);
 
   const std::vector<graph::VertexId>& landmarks() const {
     return landmarks_;

@@ -1,8 +1,5 @@
 #include "src/tram/tram.hpp"
 
-#include <cctype>
-#include <string>
-
 namespace acic::tram {
 
 const char* aggregation_name(Aggregation mode) {
@@ -17,20 +14,6 @@ const char* aggregation_name(Aggregation mode) {
       return "PW";
   }
   return "??";
-}
-
-Aggregation aggregation_from_string(const std::string& name) {
-  std::string upper;
-  for (char c : name) {
-    upper.push_back(
-        static_cast<char>(std::toupper(static_cast<unsigned char>(c))));
-  }
-  if (upper == "PP") return Aggregation::kPP;
-  if (upper == "WP") return Aggregation::kWP;
-  if (upper == "WW") return Aggregation::kWW;
-  if (upper == "PW") return Aggregation::kPW;
-  ACIC_ASSERT_MSG(false, "unknown aggregation mode (want PP/WP/WW/PW)");
-  return Aggregation::kWP;
 }
 
 }  // namespace acic::tram

@@ -42,9 +42,6 @@ enum class Aggregation : std::uint8_t { kPP, kWP, kWW, kPW };
 
 const char* aggregation_name(Aggregation mode);
 
-/// Parses "PP" / "WP" / "WW" / "PW" (case-insensitive); asserts otherwise.
-Aggregation aggregation_from_string(const std::string& name);
-
 struct TramConfig {
   Aggregation mode = Aggregation::kWP;
   /// Automatic flush threshold, in items (the paper sweeps 512/1024/2048).

@@ -325,52 +325,4 @@ TEST(AcicCorrectness, ParallelEdgesKeepMinimum) {
   EXPECT_DOUBLE_EQ(run.sssp.dist[1], 2.0);
 }
 
-// ---- the abandoned finalized-vertex termination (§II.D) --------------------
-
-TEST(AcicVertexTermination, TerminatesCorrectlyWithOracle) {
-  ExperimentSpec spec;
-  spec.graph = GraphKind::kRandom;
-  spec.scale = 10;
-  spec.seed = 55;
-  spec.nodes = 2;
-  const Csr csr = acic::stats::build_graph(spec);
-
-  const auto expected = acic::baselines::dijkstra(csr, 0);
-  std::uint64_t reachable = 0;
-  for (const auto d : expected) {
-    if (d != acic::graph::kInfDist) ++reachable;
-  }
-
-  AcicConfig config;
-  config.use_vertex_termination = true;
-  config.expected_reachable = reachable;
-  const auto run = run_acic(csr, spec, config);
-  const auto cmp = acic::graph::compare_distances(run.sssp.dist, expected);
-  EXPECT_TRUE(cmp.ok) << cmp.error;
-  // Conservation still holds: abandoned updates are counted processed.
-  EXPECT_EQ(run.sssp.metrics.updates_created,
-            run.sssp.metrics.updates_processed);
-}
-
-TEST(AcicVertexTermination, WrongOracleFallsBackToCounters) {
-  // With an unreachable expected count the early exit never fires — the
-  // run must still terminate via the counter scheme (the paper's reason
-  // for abandoning this condition).
-  ExperimentSpec spec;
-  spec.graph = GraphKind::kRandom;
-  spec.scale = 9;
-  spec.seed = 56;
-  spec.nodes = 1;
-  const Csr csr = acic::stats::build_graph(spec);
-
-  AcicConfig config;
-  config.use_vertex_termination = true;
-  config.expected_reachable = csr.num_vertices() + 1;  // impossible
-  const auto run = run_acic(csr, spec, config);
-  EXPECT_FALSE(run.hit_time_limit);
-  const auto expected = acic::baselines::dijkstra(csr, 0);
-  EXPECT_TRUE(
-      acic::graph::compare_distances(run.sssp.dist, expected).ok);
-}
-
 }  // namespace

@@ -49,25 +49,6 @@ TEST(SequentialKernels, DijkstraSatisfiesFixedPoint) {
   }
 }
 
-TEST(SequentialKernels, BellmanFordMatchesDijkstra) {
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    const Csr csr = make_graph(GraphKind::kRandom, seed, 9);
-    const auto expected = acic::baselines::dijkstra(csr, 0);
-    const auto actual = acic::baselines::bellman_ford(csr, 0);
-    EXPECT_TRUE(
-        acic::graph::compare_distances(actual, expected).ok)
-        << "seed " << seed;
-  }
-}
-
-TEST(SequentialKernels, BellmanFordCountsPhases) {
-  const Csr csr = make_graph(GraphKind::kRoad, 1, 10);
-  acic::baselines::SeqStats stats;
-  acic::baselines::bellman_ford(csr, 0, &stats);
-  EXPECT_GT(stats.phases, 1u);
-  EXPECT_GT(stats.relaxations, csr.num_edges());
-}
-
 class SeqDeltaSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(SeqDeltaSweep, MatchesDijkstraForAnyDelta) {

@@ -38,12 +38,14 @@ TEST(MachineDeep, SendToSelfWorks) {
 }
 
 TEST(MachineDeep, EnqueueLocalPreservesFifoOrder) {
+  // A task's own continuations, scheduled on its PE at its current
+  // time, run after it and in the order they were scheduled.
   Machine machine(Topology::tiny(1));
   std::vector<int> order;
   machine.schedule_at(0.0, 0, [&](Pe& pe) {
     order.push_back(0);
-    pe.enqueue_local([&](Pe&) { order.push_back(2); });
-    pe.enqueue_local([&](Pe&) { order.push_back(3); });
+    machine.schedule_at(pe.now(), pe.id(), [&](Pe&) { order.push_back(2); });
+    machine.schedule_at(pe.now(), pe.id(), [&](Pe&) { order.push_back(3); });
     order.push_back(1);
   });
   machine.run();

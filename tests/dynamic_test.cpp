@@ -1,14 +1,13 @@
 // Tests for the dynamic-graph subsystem (src/dynamic/): mutation batch
-// semantics, CSR invariants across epochs, serialization round trips,
-// repair planning, the warm-start engine mode, and the central property
-// the whole layer stands on — incremental repair produces *exactly* the
-// from-scratch distances after every batch of a random mutation stream.
+// semantics, CSR invariants across epochs, repair planning, the
+// warm-start engine mode, and the central property the whole layer
+// stands on — incremental repair produces *exactly* the from-scratch
+// distances after every batch of a random mutation stream.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <ostream>
 #include <string>
 #include <tuple>
@@ -22,7 +21,6 @@
 #include "src/dynamic/repair.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/partition.hpp"
-#include "src/graph/serialize.hpp"
 #include "src/graph/validate.hpp"
 #include "src/runtime/machine.hpp"
 #include "src/server/workload.hpp"
@@ -204,70 +202,6 @@ TEST(ValidateCsr, RejectsBrokenInvariants) {
   const auto self = acic::graph::validate_csr(Csr::from_edge_list(loop),
                                               true);
   EXPECT_FALSE(self.ok);
-}
-
-// ---- serialization (satellite b) ---------------------------------------
-
-TEST(DynamicSerialize, RoundTripPreservesLogAndSnapshots) {
-  const std::string path = testing::TempDir() + "dyn_roundtrip.bin";
-  DynamicGraph graph(random_list(7, 21));
-  acic::util::Xoshiro256 rng(9);
-  graph.apply(random_batch(graph, rng, 12));
-  graph.apply({});  // empty epoch must survive the round trip
-  graph.apply(random_batch(graph, rng, 12));
-
-  ASSERT_TRUE(acic::graph::save_dynamic_graph(graph, path));
-  DynamicGraph loaded = acic::graph::load_dynamic_graph(path);
-
-  EXPECT_EQ(loaded.epoch(), graph.epoch());
-  ASSERT_EQ(loaded.log().size(), graph.log().size());
-  for (std::size_t i = 0; i < graph.log().size(); ++i) {
-    EXPECT_EQ(loaded.log()[i].timestamp, graph.log()[i].timestamp);
-    EXPECT_EQ(loaded.log()[i].epoch, graph.log()[i].epoch);
-    EXPECT_EQ(loaded.log()[i].kind, graph.log()[i].kind);
-    EXPECT_EQ(loaded.log()[i].src, graph.log()[i].src);
-    EXPECT_EQ(loaded.log()[i].dst, graph.log()[i].dst);
-    EXPECT_EQ(loaded.log()[i].old_weight, graph.log()[i].old_weight);
-    EXPECT_EQ(loaded.log()[i].new_weight, graph.log()[i].new_weight);
-  }
-  ASSERT_EQ(loaded.num_edges(), graph.num_edges());
-  EXPECT_TRUE(std::ranges::equal(loaded.csr().offsets(), graph.csr().offsets()));
-  for (std::size_t i = 0; i < graph.csr().neighbors().size(); ++i) {
-    EXPECT_EQ(loaded.csr().neighbors()[i].dst,
-              graph.csr().neighbors()[i].dst);
-    EXPECT_EQ(loaded.csr().neighbors()[i].weight,
-              graph.csr().neighbors()[i].weight);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(DynamicSerialize, FrozenV1FormatStillLoadsBothWays) {
-  const std::string path = testing::TempDir() + "dyn_v1_compat.bin";
-  EdgeList list = random_list(6, 33);
-  list.remove_self_loops();
-  list.remove_duplicates();
-  const Csr csr = Csr::from_edge_list(list);
-  ASSERT_TRUE(acic::graph::save_csr(csr, path));
-
-  // The original loader is unchanged.
-  const Csr reloaded = acic::graph::load_csr(path);
-  EXPECT_EQ(reloaded.num_edges(), csr.num_edges());
-  EXPECT_TRUE(std::ranges::equal(reloaded.offsets(), csr.offsets()));
-
-  // The dynamic loader accepts v1 as an epoch-0 dynamic graph.
-  DynamicGraph dyn = acic::graph::load_dynamic_graph(path);
-  EXPECT_EQ(dyn.epoch(), 0u);
-  EXPECT_TRUE(dyn.log().empty());
-  EXPECT_EQ(dyn.num_edges(), csr.num_edges());
-
-  // And load_csr refuses v2 files rather than misreading them.
-  const std::string v2path = testing::TempDir() + "dyn_v2_guard.bin";
-  DynamicGraph graph(std::move(dyn));
-  graph.apply({Mutation::insert(0, 1, 1.5)});
-  ASSERT_TRUE(acic::graph::save_dynamic_graph(graph, v2path));
-  EXPECT_THROW(acic::graph::load_csr(v2path), std::runtime_error);
-  std::remove(path.c_str());
-  std::remove(v2path.c_str());
 }
 
 // ---- repair planning ---------------------------------------------------

@@ -1,5 +1,5 @@
 // Golden simulated outputs.  One scale-10 RMAT graph on Topology{2, 2, 4},
-// solved along each of ACIC's code paths and by two baselines, at one and
+// solved along each of ACIC's code paths and by three baselines, at one and
 // at four host threads.  Every case is compared against values recorded
 // from an earlier build: an FNV-1a hash of the distance bits, the sim
 // time as a hex float, events, messages, bytes, updates created, rejected
@@ -21,12 +21,14 @@
 #include <string>
 #include <vector>
 
+#include "src/baselines/delta_stepping_2d.hpp"
 #include "src/baselines/delta_stepping_dist.hpp"
 #include "src/baselines/kla.hpp"
 #include "src/core/acic.hpp"
 #include "src/graph/csr.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/partition.hpp"
+#include "src/graph/partition2d.hpp"
 #include "src/obs/registry.hpp"
 #include "src/runtime/machine.hpp"
 
@@ -61,7 +63,8 @@ struct Golden {
   Outcome expected;
 };
 
-// Recorded from the build that fixed the aggregate wire sizes.  No name
+// Recorded from the build that fixed the aggregate wire sizes; the
+// delta_stepping_2d row was added later, at commit 8feb0aa.  No name
 // ends in "no_pq": the linker would fold it with AcicParamSweep's literal
 // of that name, whose address gtest prints into that suite's test names.
 const Golden kGolden[] = {
@@ -89,6 +92,9 @@ const Golden kGolden[] = {
     {"delta_stepping_dist",
      {0xc07b4c091e2cfb0eull, "0x1.b63c83126f068p+11", 9378, 3044,
       566544, 16262, 14857, 0, 50}},
+    {"delta_stepping_2d",
+     {0xc07b4c091e2cfb0eull, "0x1.202cac08312cdp+11", 9074, 2943,
+      247896, 16262, 14948, 0, 51}},
     {"kla",
      {0xc07b4c091e2cfb0eull, "0x1.5b589db22da64p+12", 5549, 2001,
       1408248, 34107, 31610, 0, 5}},
@@ -212,6 +218,13 @@ Outcome run_baseline(const std::string& name, unsigned threads) {
         machine, csr, partition, 0, acic::baselines::DeltaConfig{});
     sssp = run.sssp;
     cycles = run.barrier_rounds;
+  } else if (name == "delta_stepping_2d") {
+    const auto run = acic::baselines::delta_stepping_2d(
+        machine, csr,
+        acic::graph::Partition2D::squarest(csr, machine.num_pes()), 0,
+        acic::baselines::DeltaConfig{});
+    sssp = run.sssp;
+    cycles = run.barrier_rounds;
   } else {
     const auto run = acic::baselines::kla_sssp(
         machine, csr, partition, 0, acic::baselines::KlaConfig{});
@@ -279,7 +292,7 @@ std::vector<Param> params() {
   for (const char* name :
        {"acic_default", "acic_tram_hold", "acic_pq_off", "acic_hub_steal",
         "acic_batched3", "acic_slow_pe3", "acic_observed",
-        "delta_stepping_dist", "kla"}) {
+        "delta_stepping_dist", "delta_stepping_2d", "kla"}) {
     for (const unsigned threads : {1u, 4u}) out.push_back({name, threads});
   }
   return out;

@@ -1,22 +1,17 @@
 // Unit tests for the graph substrate: edge lists, CSR construction,
-// generators, IO, degree statistics and partitioners.
+// generators, degree statistics and partitioners.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <set>
 
 #include "src/graph/csr.hpp"
 #include "src/graph/degree_stats.hpp"
 #include "src/graph/edge_list.hpp"
 #include "src/graph/generators.hpp"
-#include "src/graph/io.hpp"
 #include "src/graph/partition.hpp"
 #include "src/graph/partition2d.hpp"
-#include "src/graph/serialize.hpp"
-
-#include <unistd.h>
 
 namespace {
 
@@ -219,89 +214,6 @@ TEST(Generators, GridRoadShortcutsAddEdges) {
   grid.shortcut_fraction = 0.0;
   const EdgeList without = generate_grid_road(grid, 1);
   EXPECT_GT(with.num_edges(), without.num_edges());
-}
-
-TEST(DegreeStats, LogHistogramBinsCorrectly) {
-  EdgeList list(4, {});
-  // degrees: v0=1, v1=2, v2=5, v3=0
-  list.add(0, 1, 1.0);
-  list.add(1, 0, 1.0);
-  list.add(1, 2, 1.0);
-  for (int i = 0; i < 5; ++i) {
-    list.add(2, static_cast<VertexId>(i % 2), 1.0);
-  }
-  const auto bins = degree_log_histogram(Csr::from_edge_list(list));
-  // bin0: deg 0..1 -> v0, v3; bin1: deg 2..3 -> v1; bin2: deg 4..7 -> v2.
-  ASSERT_GE(bins.size(), 3u);
-  EXPECT_EQ(bins[0], 2u);
-  EXPECT_EQ(bins[1], 1u);
-  EXPECT_EQ(bins[2], 1u);
-}
-
-TEST(Io, RoundTripPreservesEdges) {
-  GenParams params;
-  params.num_vertices = 64;
-  params.num_edges = 256;
-  const EdgeList original = generate_uniform_random(params);
-  const std::string path = ::testing::TempDir() + "/acic_io_test.csv";
-  ASSERT_TRUE(write_edge_list_csv(original, path));
-  const EdgeList loaded = read_edge_list_csv(path, 64);
-  EXPECT_EQ(original.edges(), loaded.edges());
-  std::remove(path.c_str());
-  // Every write to /dev/full fails with ENOSPC once the buffer flushes.
-  EXPECT_FALSE(write_edge_list_csv(original, "/dev/full"));
-}
-
-TEST(Io, InfersVertexCount) {
-  const std::string path = ::testing::TempDir() + "/acic_io_infer.csv";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  std::fputs("0,5,1.5\n3,2,2.0\n", f);
-  std::fclose(f);
-  const EdgeList loaded = read_edge_list_csv(path);
-  EXPECT_EQ(loaded.num_vertices(), 6u);
-  EXPECT_EQ(loaded.num_edges(), 2u);
-  std::remove(path.c_str());
-}
-
-TEST(Io, UnweightedRowsDefaultToOne) {
-  const std::string path = ::testing::TempDir() + "/acic_io_unweighted.csv";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  std::fputs("# comment line\n0,1\n", f);
-  std::fclose(f);
-  const EdgeList loaded = read_edge_list_csv(path);
-  ASSERT_EQ(loaded.num_edges(), 1u);
-  EXPECT_DOUBLE_EQ(loaded.edges()[0].weight, 1.0);
-  std::remove(path.c_str());
-}
-
-TEST(Io, MalformedInputThrows) {
-  const std::string path = ::testing::TempDir() + "/acic_io_bad.csv";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  std::fputs("garbage\n", f);
-  std::fclose(f);
-  EXPECT_THROW(read_edge_list_csv(path), std::runtime_error);
-  // Rows the CSR cannot hold: ids past VertexId (which would wrap onto
-  // small ids), negative ids, and weights validate_csr rejects.  Each
-  // fails naming its line.
-  for (const char* row : {"4294967296,1,1.0\n", "4294967297,3,1.0\n",
-                          "0,1,-2.5\n", "0,1,nan\n", "0,1,inf\n",
-                          "-1,1,1.0\n"}) {
-    SCOPED_TRACE(row);
-    f = std::fopen(path.c_str(), "w");
-    std::fputs("0,1,1.0\n", f);
-    std::fputs(row, f);
-    std::fclose(f);
-    try {
-      read_edge_list_csv(path);
-      ADD_FAILURE() << "row accepted";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find(path + ":2"), std::string::npos)
-          << e.what();
-    }
-  }
-  std::remove(path.c_str());
-  EXPECT_THROW(read_edge_list_csv("/nonexistent/file.csv"),
-               std::runtime_error);
 }
 
 TEST(Partition1D, BlockCoversAllVerticesContiguously) {
@@ -537,51 +449,3 @@ TEST(Partition2D, StarGraphSpreadsBetterThan1D) {
 }
 
 }  // namespace
-
-namespace serialize_tests {
-
-using namespace acic::graph;
-
-TEST(Serialize, RoundTripPreservesCsr) {
-  GenParams params;
-  params.num_vertices = 300;
-  params.num_edges = 2400;
-  params.seed = 7;
-  const Csr original =
-      Csr::from_edge_list(generate_uniform_random(params));
-  const std::string path = ::testing::TempDir() + "/acic_csr_cache.bin";
-  ASSERT_TRUE(save_csr(original, path));
-  const Csr loaded = load_csr(path);
-  EXPECT_TRUE(std::ranges::equal(loaded.offsets(), original.offsets()));
-  EXPECT_TRUE(std::ranges::equal(loaded.neighbors(), original.neighbors()));
-  std::remove(path.c_str());
-}
-
-TEST(Serialize, RejectsGarbageFiles) {
-  const std::string path = ::testing::TempDir() + "/acic_csr_garbage.bin";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  std::fputs("not a csr cache at all", f);
-  std::fclose(f);
-  EXPECT_THROW(load_csr(path), std::runtime_error);
-  std::remove(path.c_str());
-  EXPECT_THROW(load_csr("/nonexistent/cache.bin"), std::runtime_error);
-}
-
-TEST(Serialize, RejectsTruncatedFiles) {
-  GenParams params;
-  params.num_vertices = 64;
-  params.num_edges = 512;
-  const Csr csr = Csr::from_edge_list(generate_uniform_random(params));
-  const std::string path = ::testing::TempDir() + "/acic_csr_trunc.bin";
-  ASSERT_TRUE(save_csr(csr, path));
-  // Truncate to half.
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fclose(f);
-  ASSERT_EQ(::truncate(path.c_str(), size / 2), 0);
-  EXPECT_THROW(load_csr(path), std::runtime_error);
-  std::remove(path.c_str());
-}
-
-}  // namespace serialize_tests

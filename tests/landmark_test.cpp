@@ -40,7 +40,7 @@ Csr random_graph(std::uint32_t scale, std::uint64_t seed,
 LandmarkIndex build_index(const Csr& csr, std::size_t num_landmarks = 6) {
   LandmarkConfig config;
   config.num_landmarks = num_landmarks;
-  return LandmarkIndex(csr, LandmarkIndex::build_reverse(csr), config);
+  return LandmarkIndex(csr, csr.reversed(), config);
 }
 
 // Probe pairs spread deterministically over the vertex range.

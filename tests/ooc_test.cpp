@@ -5,7 +5,9 @@
 // can include the whole family.
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -18,7 +20,6 @@
 #include "src/graph/csr_file.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/mapped_csr.hpp"
-#include "src/graph/serialize.hpp"
 #include "src/sssp/solver.hpp"
 #include "src/stats/experiment.hpp"
 
@@ -65,8 +66,10 @@ TEST(OocCsrFile, RoundTripMatchesInMemory) {
       const Csr csr = Csr::from_edge_list(generate_uniform_random(params));
       const std::string path = tmp_path("ooc_roundtrip.oocsr");
       ASSERT_TRUE(graph::write_csr_file(csr, path));
-      const Csr loaded = graph::load_csr_file(path);
-      expect_same_csr(csr, loaded);
+      {
+        const graph::MappedCsr loaded(path);
+        expect_same_csr(csr, loaded.csr());
+      }
       std::remove(path.c_str());
     }
   }
@@ -232,34 +235,84 @@ TEST(OocMappedCsr, AllSolversMatchInMemory) {
   std::remove(path.c_str());
 }
 
-TEST(OocSerialize, LoadCsrRejectsOnDiskFormat) {
-  const Csr csr =
-      Csr::from_edge_list(generate_uniform_random(make_params(6, 1)));
-  const std::string path = tmp_path("ooc_wrong_loader.oocsr");
-  ASSERT_TRUE(graph::write_csr_file(csr, path));
+TEST(OocCsrFile, ProbeRejectsMissingAndForeignFiles) {
+  graph::CsrFileHeader header;
+  EXPECT_FALSE(graph::probe_csr_file(tmp_path("ooc_no_such_file"), &header));
+
+  // Bytes without the magic are not an on-disk CSR, whether shorter than
+  // a header or a full page: probe says "not mine" without throwing, and
+  // MappedCsr refuses them.
+  const std::string foreign = tmp_path("ooc_foreign.bin");
+  for (const std::size_t size : {std::size_t{5}, graph::kCsrFilePageBytes}) {
+    SCOPED_TRACE(size);
+    {
+      std::ofstream out(foreign, std::ios::binary);
+      out << std::string(size, 'x');
+    }
+    EXPECT_FALSE(graph::probe_csr_file(foreign, &header));
+    EXPECT_THROW(graph::MappedCsr{foreign}, std::runtime_error);
+  }
+  std::remove(foreign.c_str());
+}
+
+// Crafted headers whose arithmetic wraps.  Each file is 8 KiB: `header`,
+// then zeros, so every section the header names reads as zeros and only
+// the header itself can mislead the reader.
+void write_header_file(const std::string& path,
+                       const graph::CsrFileHeader& header) {
+  std::string bytes(2 * graph::kCsrFilePageBytes, '\0');
+  std::memcpy(bytes.data(), &header, sizeof header);
+  std::ofstream out(path, std::ios::binary);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+void expect_malformed_header(const graph::CsrFileHeader& header,
+                             const std::string& name) {
+  const std::string path = tmp_path(name);
+  write_header_file(path, header);
+  graph::CsrFileHeader probed;
+  EXPECT_THROW(graph::probe_csr_file(path, &probed), std::runtime_error);
   try {
-    graph::load_csr(path);
-    FAIL() << "load_csr accepted an out-of-core file";
+    const graph::MappedCsr mapped(path);
+    ADD_FAILURE() << "MappedCsr opened " << name;
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("MappedCsr"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("malformed on-disk CSR header"),
+              std::string::npos)
         << e.what();
   }
   std::remove(path.c_str());
 }
 
-TEST(OocCsrFile, ProbeRejectsMissingAndForeignFiles) {
+TEST(OocCsrFile, RejectsVertexCountWhoseOffsetsSizeWraps) {
+  // (2^61 - 1 + 1) * 8 wraps to 0, so offsets_bytes = 0 "matches" the
+  // count; mapping it would index offsets[2^32 - 1].
   graph::CsrFileHeader header;
-  EXPECT_FALSE(graph::probe_csr_file(tmp_path("ooc_no_such_file"), &header));
+  header.num_vertices = (std::uint64_t{1} << 61) - 1;
+  header.offsets_pos = graph::kCsrFilePageBytes;
+  header.offsets_bytes = 0;
+  header.neighbors_pos = graph::kCsrFilePageBytes;
+  expect_malformed_header(header, "ooc_wrapped_offsets_size.oocsr");
+}
 
-  // A legacy CSR cache is not an out-of-core file: probe says "not
-  // mine" without throwing, and load_csr_file refuses it.
-  const Csr csr =
-      Csr::from_edge_list(generate_uniform_random(make_params(6, 1)));
-  const std::string cache = tmp_path("ooc_foreign_cache.bin");
-  ASSERT_TRUE(graph::save_csr(csr, cache));
-  EXPECT_FALSE(graph::probe_csr_file(cache, &header));
-  EXPECT_THROW(graph::load_csr_file(cache), std::runtime_error);
-  std::remove(cache.c_str());
+TEST(OocCsrFile, RejectsSectionEndPast2To64) {
+  // The offsets section [2^64 - 4096, 2^64) ends at 0 once wrapped, so
+  // the neighbors section seems to follow it; mapping it would read a
+  // page below the mapping.
+  graph::CsrFileHeader header;
+  header.num_vertices = 511;
+  header.offsets_pos = std::uint64_t{0} - graph::kCsrFilePageBytes;
+  header.offsets_bytes = 512 * sizeof(std::uint64_t);
+  header.neighbors_pos = graph::kCsrFilePageBytes;
+  expect_malformed_header(header, "ooc_wrapped_section_end.oocsr");
+}
+
+TEST(OocCsrFile, RejectsOffsetsInsideTheHeaderPage) {
+  graph::CsrFileHeader header;
+  header.num_vertices = 3;
+  header.offsets_pos = 0;
+  header.offsets_bytes = 4 * sizeof(std::uint64_t);
+  header.neighbors_pos = graph::kCsrFilePageBytes;
+  expect_malformed_header(header, "ooc_offsets_in_header.oocsr");
 }
 
 }  // namespace

@@ -166,7 +166,6 @@ TEST(Task, FifoQueuedButNeverRunTasksAreDestroyed) {
   int live = 0;
   {
     Machine machine(Topology::tiny(1));
-    machine.set_idle_poll_cost(0.5);
     machine.schedule_at(0.0, 0, [](Pe& pe) { pe.charge(10.0); });
     machine.schedule_at(1.0, 0, [probe = Probe(&live)](Pe&) {});
     const auto stats = machine.run(/*time_limit=*/2.0);

@@ -204,34 +204,6 @@ TEST(FaultInjection, DuplicatedDeliveriesKeepDistancesCorrect) {
             run.sssp.metrics.updates_created);
 }
 
-TEST(FaultInjection, VertexTerminationSurvivesDuplicates) {
-  // The abandoned finalized-vertex termination (§II.D) does not depend
-  // on counter equality, so with an oracle it terminates cleanly even
-  // under at-least-once delivery.
-  acic::stats::ExperimentSpec spec;
-  spec.graph = acic::stats::GraphKind::kRandom;
-  spec.scale = 9;
-  spec.seed = 13;
-  const Csr csr = acic::stats::build_graph(spec);
-  const auto expected = acic::baselines::dijkstra(csr, 0);
-  std::uint64_t reachable = 0;
-  for (const auto d : expected) {
-    if (d != acic::graph::kInfDist) ++reachable;
-  }
-
-  Machine machine(Topology::tiny(4));
-  const Partition1D partition = Partition1D::block(csr.num_vertices(), 4);
-  AcicConfig config;
-  config.tram.debug_duplicate_every = 7;
-  config.use_vertex_termination = true;
-  config.expected_reachable = reachable;
-  const auto run =
-      acic::core::acic_sssp(machine, csr, partition, 0, config, 60e6);
-  EXPECT_FALSE(run.hit_time_limit);
-  EXPECT_TRUE(
-      acic::graph::compare_distances(run.sssp.dist, expected).ok);
-}
-
 }  // namespace
 
 namespace reorder {

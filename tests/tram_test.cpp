@@ -29,17 +29,6 @@ struct Item {
   int value;
 };
 
-TEST(TramMode, NamesRoundTrip) {
-  for (const Aggregation mode :
-       {Aggregation::kPP, Aggregation::kWP, Aggregation::kWW,
-        Aggregation::kPW}) {
-    EXPECT_EQ(acic::tram::aggregation_from_string(
-                  acic::tram::aggregation_name(mode)),
-              mode);
-  }
-  EXPECT_EQ(acic::tram::aggregation_from_string("wp"), Aggregation::kWP);
-}
-
 class TramModeTest : public ::testing::TestWithParam<Aggregation> {};
 
 TEST_P(TramModeTest, DeliversEveryItemToItsTarget) {
