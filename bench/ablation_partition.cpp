@@ -7,8 +7,7 @@
 #include <cstdio>
 
 #include "bench/bench_common.hpp"
-#include "src/baselines/delta_stepping_2d.hpp"
-#include "src/baselines/delta_stepping_dist.hpp"
+#include "src/baselines/delta_stepping.hpp"
 #include "src/util/rng.hpp"
 
 namespace {

@@ -7,8 +7,9 @@
 // (recompute_fraction = 0, every refresh is a cold solve).  The figure
 // of merit is the paper's primary work metric — updates created — plus
 // host wall-clock.  After every batch both arms are checked elementwise
-// against sequential Dijkstra; any divergence prints the offending
-// epoch and exits nonzero (this is the CI smoke gate).
+// against sequential Dijkstra, and their shortest-path-tree parents
+// against the graph; any divergence prints the offending epoch and exits
+// nonzero (this is the CI smoke gate).
 //
 // Expected shape: at small batch sizes most batches disturb no tree
 // edge (refresh skipped — zero engine work) or a small subtree, so the
@@ -35,11 +36,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "bench/bench_common.hpp"
 #include "src/baselines/sequential.hpp"
 #include "src/dynamic/dynamic_graph.hpp"
 #include "src/dynamic/incremental.hpp"
+#include "src/dynamic/repair.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/partition.hpp"
 #include "src/graph/validate.hpp"
@@ -73,8 +76,12 @@ struct ArmResult {
 };
 
 /// Replays `events` through one IncrementalSssp arm, verifying the
-/// distances elementwise against Dijkstra after every batch.  Exits the
-/// process with status 1 on any divergence.
+/// distances elementwise against Dijkstra and the witness parents with
+/// dynamic::state_is_consistent after every batch.  Exits the process
+/// with status 1 on any divergence.  wall_s times the initial solve, the
+/// mutations and the refreshes but not these checks, which cost the same
+/// in both arms and took half to three quarters of each arm's time at
+/// scale 11.
 ArmResult run_arm(const char* name, std::uint32_t scale,
                   std::uint64_t seed, double recompute_fraction,
                   const std::vector<acic::server::MutationEvent>& events) {
@@ -86,9 +93,12 @@ ArmResult run_arm(const char* name, std::uint32_t scale,
   const auto start = Clock::now();
   dynamic::IncrementalSssp solver(graph, /*source=*/0, config);
   ArmResult out;
+  out.wall_s = seconds_since(start);
   for (const server::MutationEvent& event : events) {
+    const auto epoch_start = Clock::now();
     graph.apply(event.batch);
     const dynamic::RefreshStats stats = solver.refresh();
+    out.wall_s += seconds_since(epoch_start);
     if (stats.skipped) ++out.skipped;
     out.affected_total += stats.affected;
     const auto check = graph::compare_distances(
@@ -103,8 +113,19 @@ ArmResult run_arm(const char* name, std::uint32_t scale,
                    check.error.c_str());
       std::exit(1);
     }
+    // The next repair trusts the witness parents, so check them too.
+    std::string error;
+    if (!dynamic::state_is_consistent(graph.snapshot(), solver.state(),
+                                      &error)) {
+      std::fprintf(stderr,
+                   "FAIL: %s arm left an inconsistent state at epoch %llu "
+                   "(scale %u, seed %llu): %s\n",
+                   name,
+                   static_cast<unsigned long long>(stats.to_epoch), scale,
+                   static_cast<unsigned long long>(seed), error.c_str());
+      std::exit(1);
+    }
   }
-  out.wall_s = seconds_since(start);
   out.updates = solver.total_updates_created();
   out.repairs = solver.repair_count();
   out.recomputes = solver.recompute_count();
@@ -184,7 +205,9 @@ int main(int argc, char** argv) {
                   util::strformat("%.3f", recompute.wall_s)});
   }
   arms.print();
-  std::printf("all epochs verified elementwise against Dijkstra\n\n");
+  std::printf(
+      "all epochs verified elementwise against Dijkstra, parents "
+      "consistent\n\n");
 
   // ---- part 2: serving under churn ------------------------------------
   std::vector<std::uint32_t> rates =

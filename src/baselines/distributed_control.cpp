@@ -106,15 +106,9 @@ class DcEngine {
       result.sssp.metrics.updates_superseded += state.superseded;
       result.sssp.metrics.vertices_touched += state.touched;
     }
-    result.sssp.metrics.network_messages = stats.messages_sent;
-    result.sssp.metrics.network_bytes = stats.bytes_sent;
     result.sssp.metrics.collective_cycles = detector_->cycles();
-    result.sssp.metrics.sim_time_us = stats.end_time_us;
-
-    result.pe_busy_us.resize(machine_.num_pes());
-    for (PeId p = 0; p < machine_.num_pes(); ++p) {
-      result.pe_busy_us[p] = machine_.pe_busy_us(p);
-    }
+    sssp::fill_machine_fields(machine_, stats, result.sssp.metrics,
+                              result.pe_busy_us);
     return result;
   }
 

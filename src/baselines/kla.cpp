@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "src/runtime/collectives.hpp"
@@ -18,6 +17,11 @@ using graph::Dist;
 using graph::VertexId;
 using runtime::Pe;
 using runtime::PeId;
+using runtime::Superstep;
+
+/// Spacing between barrier re-contributions while in-flight messages
+/// drain.
+constexpr runtime::SimTime kBarrierIntervalUs = 20.0;
 
 /// An update carrying its hop depth within the current superstep.
 struct KlaUpdate {
@@ -33,8 +37,6 @@ enum Slot : std::size_t {
   kDeferred = 3,
   kSlots = 4,
 };
-
-enum class KlaCmd : int { kWork = 0, kNoop = 1, kDone = 2 };
 
 struct PeState {
   VertexId first = 0;
@@ -53,7 +55,6 @@ struct PeState {
   std::uint64_t touched = 0;
 
   std::uint32_t k = 1;
-  bool done = false;
 };
 
 class KlaEngine {
@@ -67,7 +68,21 @@ class KlaEngine {
         source_(source),
         config_(config),
         k_(std::max(config.initial_k, config.min_k)),
-        pes_(machine.num_pes()) {
+        pes_(machine.num_pes()),
+        superstep_(
+            machine,
+            {runtime::ReduceOp::kSum, runtime::ReduceOp::kSum},
+            kBarrierIntervalUs,
+            [this](const std::vector<double>& sums, bool drained) {
+              return on_root(sums, drained);
+            },
+            [this](Pe& pe, const Superstep::Command* cmd) {
+              if (cmd != nullptr) {
+                do_work(pe, static_cast<std::uint32_t>(cmd->arg));
+              }
+              tram_->flush_all(pe);
+              return contribution(pes_[pe.id()]);
+            }) {
     ACIC_ASSERT(partition.num_parts() == machine.num_pes());
     ACIC_ASSERT(source < csr.num_vertices());
 
@@ -86,8 +101,6 @@ class KlaEngine {
     tram_ = std::make_unique<UpdateTram>(machine_, tram_config,
                                          Deliver{this});
 
-    build_reducer();
-
     const PeId owner = partition_.owner(source_);
     machine_.schedule_at(0.0, owner, [this](Pe& pe) {
       PeState& state = pes_[pe.id()];
@@ -98,11 +111,7 @@ class KlaEngine {
       state.deferred_flag[local] = true;
       state.deferred.push_back(source_);
     });
-    for (PeId p = 0; p < machine_.num_pes(); ++p) {
-      machine_.schedule_at(0.0, p, [this](Pe& pe) {
-        execute(pe, KlaCmd::kWork, k_);
-      });
-    }
+    superstep_.start({0, static_cast<double>(k_)});
   }
 
   KlaRunResult run(runtime::SimTime time_limit_us) {
@@ -123,15 +132,9 @@ class KlaEngine {
       result.sssp.metrics.updates_rejected += state.rejected;
       result.sssp.metrics.vertices_touched += state.touched;
     }
-    result.sssp.metrics.network_messages = stats.messages_sent;
-    result.sssp.metrics.network_bytes = stats.bytes_sent;
-    result.sssp.metrics.collective_cycles = reducer_->cycles_completed();
-    result.sssp.metrics.sim_time_us = stats.end_time_us;
-
-    result.pe_busy_us.resize(machine_.num_pes());
-    for (PeId p = 0; p < machine_.num_pes(); ++p) {
-      result.pe_busy_us[p] = machine_.pe_busy_us(p);
-    }
+    result.sssp.metrics.collective_cycles = superstep_.rounds();
+    sssp::fill_machine_fields(machine_, stats, result.sssp.metrics,
+                              result.pe_busy_us);
     return result;
   }
 
@@ -218,60 +221,23 @@ class KlaEngine {
     }
   }
 
-  void execute(Pe& pe, KlaCmd cmd, std::uint32_t k) {
-    PeState& state = pes_[pe.id()];
-    switch (cmd) {
-      case KlaCmd::kWork:
-        do_work(pe, k);
-        break;
-      case KlaCmd::kNoop:
-        break;
-      case KlaCmd::kDone:
-        state.done = true;
-        return;
-    }
-    tram_->flush_all(pe);
-    contribute(pe);
-  }
-
-  void contribute(Pe& pe) {
-    PeState& state = pes_[pe.id()];
+  std::vector<double> contribution(PeState& state) const {
     std::vector<double> payload(kSlots, 0.0);
     payload[kSent] = static_cast<double>(state.sent);
     payload[kRecv] = static_cast<double>(state.recv);
     payload[kChanged] = static_cast<double>(state.changed_delta);
     state.changed_delta = 0;
     payload[kDeferred] = static_cast<double>(state.deferred.size());
-    reducer_->contribute(pe, payload);
+    return payload;
   }
 
-  void build_reducer() {
-    reducer_ = std::make_unique<runtime::Reducer>(
-        machine_, kSlots,
-        [this](Pe&, std::uint64_t, const std::vector<double>& sum)
-            -> std::optional<std::vector<double>> {
-          return on_root(sum);
-        },
-        [this](Pe& pe, std::uint64_t, const std::vector<double>& payload) {
-          on_broadcast(pe, payload);
-        });
-  }
-
-  std::optional<std::vector<double>> on_root(const std::vector<double>& sum) {
-    const bool stable = drain_.observe(sum[kSent], sum[kRecv]);
+  /// Root: the changed count adds up over every round of a superstep;
+  /// once the barrier has drained, k adapts and the next superstep
+  /// starts, unless no vertex is deferred.
+  std::optional<Superstep::Command> on_root(const std::vector<double>& sum,
+                                            bool drained) {
     pending_changed_ += sum[kChanged];
-
-    if (!stable) {
-      return std::vector<double>{
-          static_cast<double>(static_cast<int>(KlaCmd::kNoop)),
-          static_cast<double>(k_)};
-    }
-
-    if (sum[kDeferred] == 0.0) {
-      return std::vector<double>{
-          static_cast<double>(static_cast<int>(KlaCmd::kDone)),
-          static_cast<double>(k_)};
-    }
+    if (!drained || sum[kDeferred] == 0.0) return std::nullopt;
 
     // Adapt k on the changed-vertices trend (double / halve / keep).
     const double changed = pending_changed_;
@@ -287,27 +253,7 @@ class KlaEngine {
     peak_k_ = std::max<std::uint64_t>(peak_k_, k_);
     prev_changed_ = changed;
     ++supersteps_;
-    return std::vector<double>{
-        static_cast<double>(static_cast<int>(KlaCmd::kWork)),
-        static_cast<double>(k_)};
-  }
-
-  void on_broadcast(Pe& pe, const std::vector<double>& payload) {
-    const auto cmd = static_cast<KlaCmd>(static_cast<int>(payload[0]));
-    const auto k = static_cast<std::uint32_t>(payload[1]);
-    if (cmd == KlaCmd::kDone) {
-      pes_[pe.id()].done = true;
-      return;
-    }
-    if (cmd == KlaCmd::kNoop) {
-      const PeId id = pe.id();
-      machine_.schedule_at(pe.now() + config_.barrier_interval_us, id,
-                           [this, k](Pe& next) {
-                             execute(next, KlaCmd::kNoop, k);
-                           });
-      return;
-    }
-    execute(pe, cmd, k);
+    return Superstep::Command{0, static_cast<double>(k_)};
   }
 
   runtime::Machine& machine_;
@@ -319,9 +265,8 @@ class KlaEngine {
 
   std::vector<PeState> pes_;
   std::unique_ptr<UpdateTram> tram_;
-  std::unique_ptr<runtime::Reducer> reducer_;
+  Superstep superstep_;
 
-  runtime::DrainRule drain_;
   double pending_changed_ = 0.0;
   double prev_changed_ = 0.0;
   std::uint64_t supersteps_ = 0;

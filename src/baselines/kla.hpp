@@ -32,7 +32,6 @@ struct KlaConfig {
   double shrink_ratio = 0.5;
   tram::TramConfig tram;
   sssp::CostModel costs;
-  runtime::SimTime barrier_interval_us = 20.0;
 };
 
 struct KlaRunResult {

@@ -2,7 +2,7 @@
 
 #include <memory>
 #include <optional>
-#include <utility>
+#include <vector>
 
 #include "src/runtime/collectives.hpp"
 #include "src/util/assert.hpp"
@@ -14,20 +14,24 @@ namespace {
 using graph::VertexId;
 using runtime::Pe;
 using runtime::PeId;
+using runtime::Superstep;
+
+/// Spacing between barrier re-contributions while in-flight messages
+/// drain.
+constexpr runtime::SimTime kBarrierIntervalUs = 10.0;
 
 struct LabelUpdate {
   VertexId vertex = 0;
   VertexId label = 0;
 };
 
+// Barrier payload layout: cumulative items sent and received, then the
+// vertices whose label changed since their last sweep.
 enum Slot : std::size_t {
   kSent = 0,
   kRecv = 1,
   kDirty = 2,
-  kSlots = 3,
 };
-
-enum class Cmd : int { kSweep = 0, kNoop = 1, kDone = 2 };
 
 struct PeState {
   VertexId first = 0;
@@ -41,7 +45,6 @@ struct PeState {
   std::uint64_t created = 0;
   std::uint64_t processed = 0;
   std::uint64_t rejected = 0;
-  bool done = false;
 };
 
 class BspCcEngine {
@@ -53,7 +56,25 @@ class BspCcEngine {
         csr_(csr),
         partition_(partition),
         config_(config),
-        pes_(machine.num_pes()) {
+        pes_(machine.num_pes()),
+        superstep_(
+            machine, {runtime::ReduceOp::kSum}, kBarrierIntervalUs,
+            // The next sweep, once drained, unless no label changed.
+            [this](const std::vector<double>& sum, bool drained)
+                -> std::optional<Superstep::Command> {
+              if (!drained || sum[kDirty] == 0.0) return std::nullopt;
+              ++supersteps_;
+              return Superstep::Command{};
+            },
+            [this](Pe& pe, const Superstep::Command* cmd) {
+              if (cmd != nullptr) do_sweep(pe);
+              tram_->flush_all(pe);
+              const PeState& state = pes_[pe.id()];
+              return std::vector<double>{
+                  static_cast<double>(state.sent),
+                  static_cast<double>(state.recv),
+                  static_cast<double>(state.dirty.size())};
+            }) {
     ACIC_ASSERT(partition.num_parts() == machine.num_pes());
 
     for (PeId p = 0; p < machine_.num_pes(); ++p) {
@@ -76,13 +97,7 @@ class BspCcEngine {
         machine_, tram_config,
         [this](Pe& pe, const LabelUpdate& u) { on_deliver(pe, u); });
 
-    build_reducer();
-
-    for (PeId p = 0; p < machine_.num_pes(); ++p) {
-      machine_.schedule_at(0.0, p, [this](Pe& pe) {
-        execute(pe, Cmd::kSweep);
-      });
-    }
+    superstep_.start({});
   }
 
   BspCcResult run(runtime::SimTime time_limit_us) {
@@ -90,7 +105,7 @@ class BspCcEngine {
     BspCcResult result;
     result.hit_time_limit = stats.hit_time_limit;
     result.supersteps = supersteps_;
-    result.barrier_rounds = reducer_->cycles_completed();
+    result.barrier_rounds = superstep_.rounds();
     result.network_messages = stats.messages_sent;
     result.sim_time_us = stats.end_time_us;
     result.labels.resize(csr_.num_vertices());
@@ -145,66 +160,6 @@ class BspCcEngine {
     }
   }
 
-  void execute(Pe& pe, Cmd cmd) {
-    PeState& state = pes_[pe.id()];
-    switch (cmd) {
-      case Cmd::kSweep:
-        ++sweeps_seen_;
-        do_sweep(pe);
-        break;
-      case Cmd::kNoop:
-        break;
-      case Cmd::kDone:
-        state.done = true;
-        return;
-    }
-    tram_->flush_all(pe);
-    contribute(pe);
-  }
-
-  void contribute(Pe& pe) {
-    PeState& state = pes_[pe.id()];
-    std::vector<double> payload(kSlots, 0.0);
-    payload[kSent] = static_cast<double>(state.sent);
-    payload[kRecv] = static_cast<double>(state.recv);
-    payload[kDirty] = static_cast<double>(state.dirty.size());
-    reducer_->contribute(pe, payload);
-  }
-
-  void build_reducer() {
-    reducer_ = std::make_unique<runtime::Reducer>(
-        machine_, kSlots,
-        [this](Pe&, std::uint64_t, const std::vector<double>& sum)
-            -> std::optional<std::vector<double>> {
-          if (!drain_.observe(sum[kSent], sum[kRecv])) {
-            return std::vector<double>{
-                static_cast<double>(static_cast<int>(Cmd::kNoop))};
-          }
-          if (sum[kDirty] == 0.0) {
-            return std::vector<double>{
-                static_cast<double>(static_cast<int>(Cmd::kDone))};
-          }
-          ++supersteps_;
-          return std::vector<double>{
-              static_cast<double>(static_cast<int>(Cmd::kSweep))};
-        },
-        [this](Pe& pe, std::uint64_t, const std::vector<double>& payload) {
-          const auto cmd = static_cast<Cmd>(static_cast<int>(payload[0]));
-          if (cmd == Cmd::kDone) {
-            pes_[pe.id()].done = true;
-            return;
-          }
-          if (cmd == Cmd::kNoop) {
-            const PeId id = pe.id();
-            machine_.schedule_at(
-                pe.now() + config_.barrier_interval_us, id,
-                [this](Pe& next) { execute(next, Cmd::kNoop); });
-            return;
-          }
-          execute(pe, cmd);
-        });
-  }
-
   runtime::Machine& machine_;
   const graph::Csr& csr_;
   const graph::Partition1D& partition_;
@@ -212,11 +167,9 @@ class BspCcEngine {
 
   std::vector<PeState> pes_;
   std::unique_ptr<tram::Tram<LabelUpdate>> tram_;
-  std::unique_ptr<runtime::Reducer> reducer_;
+  Superstep superstep_;
 
-  runtime::DrainRule drain_;
   std::uint64_t supersteps_ = 0;
-  std::uint64_t sweeps_seen_ = 0;
 };
 
 }  // namespace

@@ -20,7 +20,6 @@ namespace acic::cc {
 struct BspCcConfig {
   tram::TramConfig tram;
   sssp::CostModel costs;
-  runtime::SimTime barrier_interval_us = 10.0;
 };
 
 struct BspCcResult {

@@ -885,13 +885,8 @@ AcicRunResult acic_sssp(runtime::Machine& machine, const graph::Csr& csr,
   // (network totals, end time, per-PE busy time) from this run().
   AcicRunResult result = engine.collect();
   result.hit_time_limit = stats.hit_time_limit;
-  result.sssp.metrics.network_messages = stats.messages_sent;
-  result.sssp.metrics.network_bytes = stats.bytes_sent;
-  result.sssp.metrics.sim_time_us = stats.end_time_us;
-  result.pe_busy_us.resize(machine.num_pes());
-  for (PeId p = 0; p < machine.num_pes(); ++p) {
-    result.pe_busy_us[p] = machine.pe_busy_us(p);
-  }
+  sssp::fill_machine_fields(machine, stats, result.sssp.metrics,
+                            result.pe_busy_us);
   return result;
 }
 

@@ -101,7 +101,8 @@ std::size_t refresh_parents(const GraphSnapshot& snap,
 
 /// Checks the SsspState invariants on `snap`: dist is a valid SSSP
 /// fixed point witness-wise and every finite non-source vertex's parent
-/// edge exists with dist[parent] + w == dist[v].  Test support.
+/// edge exists with dist[parent] + w == dist[v].  bench/dynamic_mutation
+/// runs it after every epoch.
 bool state_is_consistent(const GraphSnapshot& snap, const SsspState& state,
                          std::string* error = nullptr);
 

@@ -224,4 +224,65 @@ void TerminationDetector::start() {
   }
 }
 
+namespace {
+
+// Broadcast tags for the rounds that carry no engine step; a step's tag
+// is its op.
+constexpr double kNoopTag = -1.0;
+constexpr double kDoneTag = -2.0;
+
+/// Sent and received sum; the engine's slots follow.
+std::vector<ReduceOp> superstep_ops(const std::vector<ReduceOp>& slots) {
+  std::vector<ReduceOp> ops(slots.size() + 2, ReduceOp::kSum);
+  std::copy(slots.begin(), slots.end(), ops.begin() + 2);
+  return ops;
+}
+
+}  // namespace
+
+Superstep::Superstep(Machine& machine, const std::vector<ReduceOp>& slots,
+                     SimTime interval_us, RootHook on_root, StepHook step)
+    : machine_(machine),
+      interval_us_(interval_us),
+      on_root_(std::move(on_root)),
+      step_(std::move(step)),
+      reducer_(
+          machine, slots.size() + 2,
+          [this](Pe&, std::uint64_t, const std::vector<double>& sums)
+              -> std::optional<std::vector<double>> {
+            const bool drained = drain_.observe(sums[0], sums[1]);
+            const std::optional<Command> next = on_root_(sums, drained);
+            if (!drained) return std::vector<double>{kNoopTag, 0.0};
+            if (!next.has_value()) return std::vector<double>{kDoneTag, 0.0};
+            ACIC_ASSERT_MSG(next->op >= 0, "a superstep op is at least 0");
+            return std::vector<double>{static_cast<double>(next->op),
+                                       next->arg};
+          },
+          [this](Pe& pe, std::uint64_t, const std::vector<double>& payload) {
+            if (payload[0] == kDoneTag) return;
+            if (payload[0] == kNoopTag) {
+              // Drain round: wait a beat for in-flight messages, then
+              // re-report.
+              machine_.schedule_at(pe.now() + interval_us_, pe.id(),
+                                   [this](Pe& next) {
+                                     run_step(next, nullptr);
+                                   });
+              return;
+            }
+            const Command cmd{static_cast<int>(payload[0]), payload[1]};
+            run_step(pe, &cmd);
+          },
+          /*fanout=*/4, superstep_ops(slots)) {}
+
+void Superstep::start(Command first) {
+  for (PeId pe = 0; pe < machine_.num_pes(); ++pe) {
+    machine_.schedule_at(0.0, pe,
+                         [this, first](Pe& ctx) { run_step(ctx, &first); });
+  }
+}
+
+void Superstep::run_step(Pe& pe, const Command* cmd) {
+  reducer_.contribute(pe, step_(pe, cmd));
+}
+
 }  // namespace acic::runtime

@@ -139,9 +139,9 @@ class Reducer {
 /// unchanged across two consecutive reductions — the double check guards
 /// against the race where counters match while messages are in flight.
 /// A drained observation disarms the rule, so the next drain needs two
-/// fresh observations: a drained-barrier engine (Δ-stepping, KLA, BSP
-/// CC) observes every barrier round and needs a fresh drain per
-/// superstep, while a terminating engine never observes again.
+/// fresh observations: a Superstep observes every barrier round and needs
+/// a fresh drain per superstep, while a terminating engine never
+/// observes again.
 class DrainRule {
  public:
   /// Feeds one reduction's sums; true when the counters are drained.
@@ -189,6 +189,63 @@ class TerminationDetector {
   std::unique_ptr<Reducer> reducer_;
   DrainRule drain_;  // root-side
   bool terminated_ = false;
+};
+
+/// The drained superstep barrier of the bulk-synchronous engines
+/// (Δ-stepping, KLA, BSP connected components), built on a Reducer.
+/// Each round every PE runs the engine's step hook and contributes what
+/// it returns: its cumulative sent and received counts in slots 0 and 1,
+/// the engine's own slots after them.  The root feeds slots 0
+/// and 1 to a DrainRule.  While they are not drained, messages are still
+/// in flight, so every PE runs the step hook again as a no-op
+/// `interval_us` after the broadcast (an engine flushes its aggregation
+/// buffers there) and contributes again.  Once drained, the root hook
+/// names the next step, or ends the run: then no PE contributes again
+/// and the machine goes quiet.
+class Superstep {
+ public:
+  /// A step the root broadcasts.  `op` (at least 0) and `arg` are the
+  /// engine's own, say a phase and its bucket; the barrier only carries
+  /// them.
+  struct Command {
+    int op = 0;
+    double arg = 0.0;
+  };
+  /// Runs at the root on every round's global sums, drained or not, so an
+  /// engine can add up a slot across rounds.  `drained` is DrainRule's
+  /// verdict on slots 0 and 1.  On a drained round the result is the next
+  /// step, or nullopt to end the run; on any other round it is ignored.
+  using RootHook = std::function<std::optional<Command>(
+      const std::vector<double>& sums, bool drained)>;
+  /// Runs one round on `pe`: the broadcast step, or a no-op when `cmd` is
+  /// null.  Returns the PE's contribution.
+  using StepHook =
+      std::function<std::vector<double>(Pe&, const Command* cmd)>;
+
+  /// `slots` holds the combine op of each engine slot after sent and
+  /// received; the Reducer's width is their count plus two.
+  Superstep(Machine& machine, const std::vector<ReduceOp>& slots,
+            SimTime interval_us, RootHook on_root, StepHook step);
+
+  Superstep(const Superstep&) = delete;
+  Superstep& operator=(const Superstep&) = delete;
+
+  /// Schedules the first round on every PE at time 0, running `first`.
+  void start(Command first);
+
+  /// Rounds completed at the root, no-op rounds included.
+  std::uint64_t rounds() const { return reducer_.cycles_completed(); }
+
+ private:
+  /// Runs the step hook on `pe` and contributes its result.
+  void run_step(Pe& pe, const Command* cmd);
+
+  Machine& machine_;
+  SimTime interval_us_;
+  RootHook on_root_;
+  StepHook step_;
+  DrainRule drain_;  // root-side
+  Reducer reducer_;
 };
 
 }  // namespace acic::runtime

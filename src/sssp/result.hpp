@@ -7,6 +7,11 @@
 #include "src/graph/types.hpp"
 #include "src/runtime/network.hpp"
 
+namespace acic::runtime {
+class Machine;
+struct RunStats;
+}  // namespace acic::runtime
+
 namespace acic::sssp {
 
 struct SsspMetrics {
@@ -61,5 +66,12 @@ struct SsspResult {
   std::vector<graph::VertexId> parent;
   SsspMetrics metrics;
 };
+
+/// Fills the machine-level fields of a run's result: network totals and
+/// end time from the `stats` that run() returned, and each PE's busy
+/// time from `machine`.
+void fill_machine_fields(const runtime::Machine& machine,
+                         const runtime::RunStats& stats, SsspMetrics& metrics,
+                         std::vector<runtime::SimTime>& pe_busy_us);
 
 }  // namespace acic::sssp

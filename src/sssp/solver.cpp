@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/baselines/delta_stepping_2d.hpp"
-#include "src/baselines/delta_stepping_dist.hpp"
+#include "src/baselines/delta_stepping.hpp"
 #include "src/baselines/sequential.hpp"
 #include "src/core/acic.hpp"
 #include "src/graph/partition.hpp"
@@ -180,17 +179,6 @@ SolverRun run_solver(const std::string& name, runtime::Machine& machine,
                      const graph::Csr& csr, graph::VertexId source,
                      const SolverOptions& opts) {
   ACIC_ASSERT(source < csr.num_vertices());
-  if (opts.reorder != graph::ReorderMode::kIdentity) {
-    // Relabel once, recurse with the permuted graph and mapped source,
-    // then hand back distances in the caller's original labels.
-    const graph::Remap remap(csr, opts.reorder, opts.reorder_threads);
-    SolverOptions inner = opts;
-    inner.reorder = graph::ReorderMode::kIdentity;
-    SolverRun run = run_solver(name, machine, remap.csr(),
-                               remap.map_vertex(source), inner);
-    run.sssp.dist = remap.unmap_distances(run.sssp.dist);
-    return run;
-  }
   for (const Entry& entry : kSolvers) {
     if (name != entry.name) continue;
     if (opts.registry != nullptr) machine.set_registry(opts.registry);

@@ -31,12 +31,11 @@
 #include <utility>
 #include <vector>
 
-#include "src/baselines/delta_common.hpp"
+#include "src/baselines/delta_stepping.hpp"
 #include "src/baselines/distributed_control.hpp"
 #include "src/baselines/kla.hpp"
 #include "src/core/config.hpp"
 #include "src/graph/csr.hpp"
-#include "src/graph/reorder.hpp"
 #include "src/runtime/machine.hpp"
 #include "src/sssp/result.hpp"
 
@@ -52,17 +51,6 @@ struct SolverOptions {
   baselines::DeltaConfig delta;
   baselines::KlaConfig kla;
   baselines::DistributedControlConfig dc;
-
-  /// Vertex reordering (src/graph/reorder.hpp): when not kIdentity,
-  /// run_solver relabels the graph, maps the source in, runs the solver
-  /// on the permuted CSR and inverse-permutes the distances back, so
-  /// callers see original-label results.  Distances are exactly equal to
-  /// the identity run's; simulated schedule/counters legitimately differ
-  /// (the relabeling changes which updates cross node boundaries).
-  graph::ReorderMode reorder = graph::ReorderMode::kIdentity;
-  /// Host threads for building the permuted CSR (output is identical at
-  /// any value).
-  unsigned reorder_threads = 1;
 
   runtime::SimTime time_limit_us = runtime::kNoTimeLimit;
 

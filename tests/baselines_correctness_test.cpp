@@ -8,8 +8,7 @@
 #include <string>
 #include <tuple>
 
-#include "src/baselines/delta_stepping_2d.hpp"
-#include "src/baselines/delta_stepping_dist.hpp"
+#include "src/baselines/delta_stepping.hpp"
 #include "src/baselines/distributed_control.hpp"
 #include "src/baselines/kla.hpp"
 #include "src/baselines/sequential.hpp"

@@ -5,7 +5,7 @@
 
 #include <map>
 
-#include "src/baselines/delta_stepping_dist.hpp"
+#include "src/baselines/delta_stepping.hpp"
 #include "src/baselines/sequential.hpp"
 #include "src/cc/async_cc.hpp"
 #include "src/cc/union_find.hpp"

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/baselines/delta_stepping_2d.hpp"
+#include "src/baselines/delta_stepping.hpp"
 #include "src/baselines/sequential.hpp"
 #include "src/graph/generators.hpp"
 #include "src/graph/validate.hpp"

@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/baselines/delta_common.hpp"
+#include "src/baselines/delta_stepping.hpp"
 
 namespace {
 

@@ -1,6 +1,9 @@
 // Golden simulated outputs.  One scale-10 RMAT graph on Topology{2, 2, 4},
-// solved along each of ACIC's code paths and by three baselines, at one and
-// at four host threads.  Every case is compared against values recorded
+// solved along each of ACIC's code paths and by every distributed
+// baseline (Δ-stepping with and without its Bellman-Ford tail, KLA and
+// distributed control with and without its priority queue), at one and
+// at four host threads; BSP connected components runs on the same graph
+// symmetrized.  Every case is compared against values recorded
 // from an earlier build: an FNV-1a hash of the distance bits, the sim
 // time as a hex float, events, messages, bytes, updates created, rejected
 // and superseded, and reduction cycles.  The other suites compare a run
@@ -21,9 +24,10 @@
 #include <string>
 #include <vector>
 
-#include "src/baselines/delta_stepping_2d.hpp"
-#include "src/baselines/delta_stepping_dist.hpp"
+#include "src/baselines/delta_stepping.hpp"
+#include "src/baselines/distributed_control.hpp"
 #include "src/baselines/kla.hpp"
+#include "src/cc/bsp_cc.hpp"
 #include "src/core/acic.hpp"
 #include "src/graph/csr.hpp"
 #include "src/graph/generators.hpp"
@@ -64,9 +68,12 @@ struct Golden {
 };
 
 // Recorded from the build that fixed the aggregate wire sizes; the
-// delta_stepping_2d row was added later, at commit 8feb0aa.  No name
-// ends in "no_pq": the linker would fold it with AcicParamSweep's literal
-// of that name, whose address gtest prints into that suite's test names.
+// delta_stepping_2d row was added later, at commit 8feb0aa, and the rows
+// after kla at commit 1729bc9.  No name ends in "no_pq": the linker would
+// fold it with AcicParamSweep's literal of that name, whose address gtest
+// prints into that suite's test names.  For the same reason the
+// distributed-control rows do not reuse the solver names other suites
+// spell out.
 const Golden kGolden[] = {
     {"acic_default",
      {0xc07b4c091e2cfb0eull, "0x1.300a9ba5e3c1cp+12", 5004, 1905,
@@ -98,6 +105,21 @@ const Golden kGolden[] = {
     {"kla",
      {0xc07b4c091e2cfb0eull, "0x1.5b589db22da64p+12", 5549, 2001,
       1408248, 34107, 31610, 0, 5}},
+    {"delta_stepping_dist_buckets",
+     {0xc07b4c091e2cfb0eull, "0x1.3d5a6a7efa0b4p+12", 20679, 6300,
+      750752, 16240, 14837, 0, 134}},
+    {"delta_stepping_2d_buckets",
+     {0xc07b4c091e2cfb0eull, "0x1.020696872b0c3p+12", 22021, 6811,
+      473264, 16240, 14928, 0, 141}},
+    {"distributed_control_ordered",
+     {0xc07b4c091e2cfb0eull, "0x1.343ec08312e2bp+12", 4899, 1820,
+      901168, 32349, 30024, 589, 12}},
+    {"async_baseline_unordered",
+     {0xc07b4c091e2cfb0eull, "0x1.f1c3581063c37p+12", 3945, 1537,
+      1435728, 52941, 49843, 0, 10}},
+    {"bsp_cc",
+     {0xb964577b4ca57602ull, "0x1.3dd3c189371cap+13", 3613, 1344,
+      901784, 65622, 62901, 0, 12}},
 };
 
 std::string row(const char* name, const Outcome& o) {
@@ -135,14 +157,21 @@ std::string hex(double t) {
   return buf;
 }
 
+acic::graph::EdgeList golden_edges() {
+  acic::graph::GenParams params;
+  params.num_vertices = VertexId{1} << 10;
+  params.num_edges = params.num_vertices * 16ull;
+  params.seed = 5;
+  return acic::graph::generate_rmat(params);
+}
+
 const Csr& graph() {
-  static const Csr csr = [] {
-    acic::graph::GenParams params;
-    params.num_vertices = VertexId{1} << 10;
-    params.num_edges = params.num_vertices * 16ull;
-    params.seed = 5;
-    return Csr::from_edge_list(acic::graph::generate_rmat(params));
-  }();
+  static const Csr csr = Csr::from_edge_list(golden_edges());
+  return csr;
+}
+
+const Csr& symmetrized_graph() {
+  static const Csr csr = Csr::from_edge_list(golden_edges().symmetrized());
   return csr;
 }
 
@@ -213,18 +242,31 @@ Outcome run_baseline(const std::string& name, unsigned threads) {
       Partition1D::block(csr.num_vertices(), machine.num_pes());
   acic::sssp::SsspResult sssp;
   std::uint64_t cycles = 0;
-  if (name == "delta_stepping_dist") {
-    const auto run = acic::baselines::delta_stepping_dist(
-        machine, csr, partition, 0, acic::baselines::DeltaConfig{});
+  if (name.rfind("delta_stepping", 0) == 0) {
+    // The default rows switch to Bellman-Ford sweeps after a few buckets;
+    // the *_buckets rows keep bucketing to the end.
+    const bool buckets = name.find("_buckets") != std::string::npos;
+    acic::baselines::DeltaConfig config;
+    config.hybrid_bellman_ford = !buckets;
+    const auto run =
+        name.rfind("delta_stepping_2d", 0) == 0
+            ? acic::baselines::delta_stepping_2d(
+                  machine, csr,
+                  acic::graph::Partition2D::squarest(csr, machine.num_pes()),
+                  0, config)
+            : acic::baselines::delta_stepping_dist(machine, csr, partition,
+                                                   0, config);
+    EXPECT_EQ(run.switched_to_bf, !buckets);
     sssp = run.sssp;
     cycles = run.barrier_rounds;
-  } else if (name == "delta_stepping_2d") {
-    const auto run = acic::baselines::delta_stepping_2d(
-        machine, csr,
-        acic::graph::Partition2D::squarest(csr, machine.num_pes()), 0,
-        acic::baselines::DeltaConfig{});
+  } else if (name == "distributed_control_ordered" ||
+             name == "async_baseline_unordered") {
+    acic::baselines::DistributedControlConfig config;
+    config.use_priority = name == "distributed_control_ordered";
+    const auto run = acic::baselines::distributed_control_sssp(
+        machine, csr, partition, 0, config);
     sssp = run.sssp;
-    cycles = run.barrier_rounds;
+    cycles = run.detector_cycles;
   } else {
     const auto run = acic::baselines::kla_sssp(
         machine, csr, partition, 0, acic::baselines::KlaConfig{});
@@ -239,6 +281,32 @@ Outcome run_baseline(const std::string& name, unsigned threads) {
   out.rejected = sssp.metrics.updates_rejected;
   out.superseded = sssp.metrics.updates_superseded;
   out.cycles = cycles;
+  return out;
+}
+
+/// BSP label propagation on the symmetrized graph: the label vector is
+/// hashed in place of distances, and cycles counts barrier rounds.
+Outcome run_bsp_cc(unsigned threads) {
+  const Csr& csr = symmetrized_graph();
+  Machine machine(kTopology);
+  machine.set_threads(threads);
+  const Partition1D partition =
+      Partition1D::block(csr.num_vertices(), machine.num_pes());
+  const acic::cc::BspCcResult run = acic::cc::bsp_cc(machine, csr, partition);
+  EXPECT_GT(run.supersteps, 1u);
+  Outcome out;
+  out.dist_fnv = kFnvBasis;
+  for (const VertexId label : run.labels) {
+    for (std::size_t i = 0; i < sizeof label; ++i) {
+      out.dist_fnv ^= (label >> (8 * i)) & 0xffu;
+      out.dist_fnv *= 0x100000001b3ull;
+    }
+  }
+  out.sim_time = hex(run.sim_time_us);
+  fill_machine(machine, &out);
+  out.created = run.updates_created;
+  out.rejected = run.updates_rejected;
+  out.cycles = run.barrier_rounds;
   return out;
 }
 
@@ -262,9 +330,14 @@ TEST_P(Recorded, OutputsMatch) {
   for (const Golden& g : kGolden) {
     if (p.name == g.name) golden = &g;
   }
-  const Outcome got = p.name.rfind("acic", 0) == 0
-                          ? run_acic(p.name, p.threads)
-                          : run_baseline(p.name, p.threads);
+  Outcome got;
+  if (p.name.rfind("acic", 0) == 0) {
+    got = run_acic(p.name, p.threads);
+  } else if (p.name == "bsp_cc") {
+    got = run_bsp_cc(p.threads);
+  } else {
+    got = run_baseline(p.name, p.threads);
+  }
   ASSERT_NE(golden, nullptr) << "no recorded row:\n"
                              << row(p.name.c_str(), got);
   EXPECT_EQ(got, golden->expected)
@@ -292,7 +365,10 @@ std::vector<Param> params() {
   for (const char* name :
        {"acic_default", "acic_tram_hold", "acic_pq_off", "acic_hub_steal",
         "acic_batched3", "acic_slow_pe3", "acic_observed",
-        "delta_stepping_dist", "delta_stepping_2d", "kla"}) {
+        "delta_stepping_dist", "delta_stepping_2d", "kla",
+        "delta_stepping_dist_buckets", "delta_stepping_2d_buckets",
+        "distributed_control_ordered", "async_baseline_unordered",
+        "bsp_cc"}) {
     for (const unsigned threads : {1u, 4u}) out.push_back({name, threads});
   }
   return out;

@@ -1,9 +1,11 @@
 // Unit tests for the discrete-event runtime: topology math, event
 // ordering, task/charge semantics, network costing, idle handlers,
-// reductions/broadcasts, and the termination detector.
+// reductions/broadcasts, the termination detector and the superstep
+// barrier.
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 #include "src/runtime/collectives.hpp"
@@ -19,8 +21,10 @@ using acic::runtime::NetworkModel;
 using acic::runtime::Pe;
 using acic::runtime::PeId;
 using acic::runtime::Reducer;
+using acic::runtime::ReduceOp;
 using acic::runtime::RunStats;
 using acic::runtime::SimTime;
+using acic::runtime::Superstep;
 using acic::runtime::TerminationDetector;
 using acic::runtime::Topology;
 
@@ -565,6 +569,143 @@ TEST(TerminationDetector, WaitsWhileCountersMove) {
   machine.run();
   EXPECT_TRUE(detector.terminated());
   EXPECT_GE(detector.cycles(), 4u);
+}
+
+TEST(Superstep, LateMessageForcesNoopRoundsUntilDrained) {
+  // PE 0's first step sends PE 1 a message that lands about 1000 us
+  // later, long after both PEs contributed: every round until then is a
+  // no-op round, each starting one interval after the broadcast.
+  constexpr SimTime kInterval = 100.0;
+  Machine machine(Topology::tiny(2));
+  std::vector<std::uint64_t> sent(2, 0);
+  std::vector<std::uint64_t> received(2, 0);
+  std::vector<std::vector<SimTime>> noop_starts(2);
+  SimTime landed = 0.0;
+  std::vector<double> last_sums;
+  bool prev_equal = false;
+  Superstep superstep(
+      machine, {}, kInterval,
+      [&](const std::vector<double>& sums, bool drained)
+          -> std::optional<Superstep::Command> {
+        // Drained takes two rounds in a row with equal, unchanged counts.
+        const bool equal = sums[0] == sums[1];
+        EXPECT_EQ(drained, equal && prev_equal);
+        prev_equal = equal;
+        last_sums = sums;
+        return std::nullopt;
+      },
+      [&](Pe& pe, const Superstep::Command* cmd) {
+        if (cmd == nullptr) {
+          noop_starts[pe.id()].push_back(pe.now());
+        } else if (pe.id() == 0) {
+          ++sent[0];
+          pe.send(1, 16'000'000, [&](Pe& dst) {
+            ++received[dst.id()];
+            landed = dst.now();
+          });
+        }
+        return std::vector<double>{static_cast<double>(sent[pe.id()]),
+                                   static_cast<double>(received[pe.id()])};
+      });
+  superstep.start({});
+  const RunStats stats = machine.run(/*time_limit=*/1e5);
+
+  ASSERT_FALSE(stats.hit_time_limit);
+  EXPECT_GT(landed, 900.0);
+  EXPECT_EQ(last_sums, (std::vector<double>{1.0, 1.0}));
+  // The message lands during a no-op round; drained needs two equal
+  // observations after it.
+  EXPECT_GE(noop_starts[0].size(), static_cast<std::size_t>(landed /
+                                                            (2 * kInterval)));
+  for (const std::vector<SimTime>& starts : noop_starts) {
+    ASSERT_EQ(starts.size() + 1, superstep.rounds());
+    for (std::size_t i = 1; i < starts.size(); ++i) {
+      const SimTime gap = starts[i] - starts[i - 1];
+      EXPECT_GE(gap, kInterval);
+      EXPECT_LT(gap, kInterval + 10.0);  // plus one reduction round trip
+    }
+  }
+  EXPECT_GT(noop_starts[1].back(), landed);
+}
+
+TEST(Superstep, RootHookSeesEveryRoundButDecidesOnlyWhenDrained) {
+  Machine machine(Topology::tiny(4));
+  std::vector<std::uint64_t> sent(4, 0);
+  std::vector<std::uint64_t> received(4, 0);
+  std::vector<int> ops_run;
+  std::vector<double> args_run;
+  std::uint64_t hook_calls = 0;
+  std::uint64_t drained_calls = 0;
+  double ones_seen = 0.0;
+  double min_seen = 0.0;
+  Superstep superstep(
+      machine, {ReduceOp::kSum, ReduceOp::kMin}, 5.0,
+      [&](const std::vector<double>& sums, bool drained)
+          -> std::optional<Superstep::Command> {
+        ++hook_calls;
+        ones_seen += sums[2];
+        min_seen = sums[3];
+        if (!drained) {
+          // Ignored: an undrained round always runs as a no-op.
+          return Superstep::Command{9, 9.0};
+        }
+        ++drained_calls;
+        if (drained_calls == 1) return Superstep::Command{1, 7.0};
+        return std::nullopt;
+      },
+      [&](Pe& pe, const Superstep::Command* cmd) {
+        if (cmd != nullptr) {
+          if (pe.id() == 0) {
+            ops_run.push_back(cmd->op);
+            args_run.push_back(cmd->arg);
+          }
+          // Every step sends one message around the ring.
+          ++sent[pe.id()];
+          pe.send((pe.id() + 1) % 4, 64,
+                  [&](Pe& dst) { ++received[dst.id()]; });
+        }
+        return std::vector<double>{static_cast<double>(sent[pe.id()]),
+                                   static_cast<double>(received[pe.id()]),
+                                   1.0, static_cast<double>(pe.id() + 3)};
+      });
+  superstep.start({0, 2.0});
+  ASSERT_FALSE(machine.run(/*time_limit=*/1e5).hit_time_limit);
+
+  EXPECT_EQ(ops_run, (std::vector<int>{0, 1}));
+  EXPECT_EQ(args_run, (std::vector<double>{2.0, 7.0}));
+  EXPECT_EQ(drained_calls, 2u);
+  EXPECT_EQ(hook_calls, superstep.rounds());
+  EXPECT_GT(hook_calls, drained_calls);
+  // Slot 2 sums a 1 from every PE in every round; slot 3 takes the min.
+  EXPECT_EQ(ones_seen, 4.0 * static_cast<double>(hook_calls));
+  EXPECT_EQ(min_seen, 3.0);
+}
+
+TEST(Superstep, DoneStopsEveryContribution) {
+  // No traffic: the first round arms the drain rule, the second drains
+  // it, and the root ends the run there.
+  Machine machine(Topology::tiny(8));
+  std::vector<int> steps(8, 0);
+  std::uint64_t hook_calls = 0;
+  Superstep superstep(
+      machine, {}, 10.0,
+      [&](const std::vector<double>&, bool) {
+        ++hook_calls;
+        return std::optional<Superstep::Command>{};
+      },
+      [&](Pe& pe, const Superstep::Command*) {
+        ++steps[pe.id()];
+        return std::vector<double>{0.0, 0.0};
+      });
+  superstep.start({});
+  const RunStats stats = machine.run(/*time_limit=*/1e5);
+
+  ASSERT_FALSE(stats.hit_time_limit);
+  EXPECT_EQ(superstep.rounds(), 2u);
+  EXPECT_EQ(hook_calls, 2u);
+  for (const int n : steps) EXPECT_EQ(n, 2);
+  // Nothing was left scheduled: a second run has no work.
+  EXPECT_EQ(machine.run().tasks_executed, 0u);
 }
 
 }  // namespace

@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "src/baselines/delta_stepping_dist.hpp"
+#include "src/baselines/delta_stepping.hpp"
 #include "src/baselines/kla.hpp"
 #include "src/baselines/sequential.hpp"
 #include "src/core/acic.hpp"

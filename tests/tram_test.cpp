@@ -7,7 +7,7 @@
 #include <map>
 #include <vector>
 
-#include "src/baselines/delta_stepping_2d.hpp"
+#include "src/baselines/delta_stepping.hpp"
 #include "src/graph/csr.hpp"
 #include "src/graph/partition2d.hpp"
 #include "src/runtime/machine.hpp"
