@@ -85,7 +85,9 @@ int main(int argc, char** argv) {
     const double c = snap.counts[b];
     const int bar = peak > 0.0 ? static_cast<int>(50.0 * c / peak) : 0;
     std::string bars(static_cast<std::size_t>(bar), '#');
-    if (c > 0.0 && bar == 0) bars = ".";
+    // Not `= "."`: GCC 12 reports a false -Wrestrict there at -O2
+    // without LTO.
+    if (c > 0.0 && bar == 0) bars.assign(1, '.');
     table.add_row({util::strformat("%zu", b), util::strformat("%.0f", c),
                    bars});
   }

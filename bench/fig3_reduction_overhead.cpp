@@ -12,9 +12,11 @@
 
 #include <cstdio>
 #include <optional>
+#include <span>
 
 #include "bench/bench_common.hpp"
 #include "src/runtime/collectives.hpp"
+#include "src/util/assert.hpp"
 
 namespace {
 
@@ -30,7 +32,9 @@ struct WorkResult {
 };
 
 /// Runs the synthetic workload; `histogram_width` > 0 enables a
-/// continuous reduction/broadcast cycle with an ACIC-sized payload.
+/// continuous reduction/broadcast cycle with an ACIC-sized payload: the
+/// engines' TerminationDetector, reporting created 1 and processed 0 so
+/// it never drains and cycles for the whole window.
 WorkResult run_window(std::uint32_t nodes, SimTime window_us,
                       SimTime method_us, std::size_t histogram_width,
                       SimTime interval_us) {
@@ -46,36 +50,27 @@ WorkResult run_window(std::uint32_t nodes, SimTime window_us,
     machine.schedule_at(0.0, p, [](Pe&) {});
   }
 
-  std::optional<runtime::Reducer> reducer;
+  std::optional<runtime::TerminationDetector> cycle;
   if (histogram_width > 0) {
-    reducer.emplace(
-        machine, histogram_width,
-        [histogram_width](Pe&, std::uint64_t, const std::vector<double>&)
-            -> std::optional<std::vector<double>> {
-          return std::vector<double>(3, 0.0);
+    ACIC_ASSERT_MSG(histogram_width >= 2,
+                    "the payload holds created and processed");
+    cycle.emplace(
+        machine, histogram_width - 2, interval_us,
+        [histogram_width](Pe&, std::vector<double>& report) {
+          report.assign(histogram_width, 1.0);
+          report[1] = 0.0;  // processed
         },
-        [&machine, &reducer, interval_us, histogram_width](
-            Pe& pe, std::uint64_t, const std::vector<double>&) {
-          const PeId id = pe.id();
-          machine.schedule_at(
-              pe.now() + interval_us, id,
-              [&reducer, histogram_width](Pe& next) {
-                reducer->contribute(
-                    next, std::vector<double>(histogram_width, 1.0));
-              });
-        });
-    for (PeId p = 0; p < machine.num_pes(); ++p) {
-      machine.schedule_at(0.0, p, [&reducer, histogram_width](Pe& pe) {
-        reducer->contribute(pe,
-                            std::vector<double>(histogram_width, 1.0));
-      });
-    }
+        [](Pe&, std::uint64_t, const std::vector<double>&) {
+          return std::vector<double>{};
+        },
+        [](Pe&, std::span<const double>) {}, [](Pe&) {});
+    cycle->start();
   }
 
   machine.run(window_us);
   WorkResult result;
   result.methods = methods;
-  result.reductions = reducer ? reducer->cycles_completed() : 0;
+  result.reductions = cycle ? cycle->cycles() : 0;
   return result;
 }
 

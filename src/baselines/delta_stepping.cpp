@@ -9,6 +9,7 @@
 
 #include "src/baselines/sequential.hpp"
 #include "src/runtime/collectives.hpp"
+#include "src/sssp/cost_model.hpp"
 #include "src/sssp/update.hpp"
 #include "src/util/assert.hpp"
 #include "src/util/prefetch.hpp"
@@ -67,6 +68,7 @@ using runtime::Pe;
 using runtime::PeId;
 using runtime::ReduceOp;
 using runtime::Superstep;
+using sssp::kCosts;
 using sssp::Update;
 
 constexpr double kNoBucket = std::numeric_limits<double>::infinity();
@@ -236,7 +238,7 @@ class DeltaEngine {
   /// Owner-side application of a candidate distance.
   void apply(Pe& pe, const Update& u) {
     PeState& state = pes_[pe.id()];
-    pe.charge(config_.costs.update_apply_us);
+    pe.charge(kCosts.update_apply_us);
     ++state.processed;
     const VertexId local = u.vertex - state.first;
     ACIC_ASSERT(u.vertex >= state.first && u.vertex < state.last);
@@ -257,7 +259,7 @@ class DeltaEngine {
     // entry for v exists in bucket_of(dist[v]); entries left behind in
     // higher buckets are recognized as stale at pop time and skipped.
     state.queued[local] = true;
-    pe.charge(config_.costs.pq_op_us);
+    pe.charge(kCosts.pq_op_us);
     place_in_bucket(state, u.vertex, u.dist);
   }
 
@@ -528,7 +530,7 @@ class Delta1D final : public DeltaEngine {
         if (!keeps(kind, nb.weight)) continue;
         ++state.sent;
         ++state.created;
-        pe.charge(config_.costs.edge_relax_us);
+        pe.charge(kCosts.edge_relax_us);
         tram_.insert(pe, partition_.owner(nb.dst),
                      Update{nb.dst, f.dist + nb.weight});
       }
@@ -600,7 +602,7 @@ class Delta2D final : public DeltaEngine {
       for (const graph::Edge& e :
            partition_.cell_out_edges(pe.id(), f.vertex)) {
         if (!keeps(kind, e.weight)) continue;
-        pe.charge(config_.costs.edge_relax_us);
+        pe.charge(kCosts.edge_relax_us);
         ++state.created;
         const Dist candidate = f.dist + e.weight;
         const PeId owner = partition_.state_owner_of_vertex(e.dst);

@@ -37,7 +37,6 @@
 #include "src/graph/partition.hpp"
 #include "src/graph/partition2d.hpp"
 #include "src/runtime/machine.hpp"
-#include "src/sssp/cost_model.hpp"
 #include "src/sssp/result.hpp"
 #include "src/tram/tram.hpp"
 
@@ -51,7 +50,6 @@ struct DeltaConfig {
   bool hybrid_bellman_ford = true;
   /// Message aggregation for relaxation traffic (1-D only).
   tram::TramConfig tram;
-  sssp::CostModel costs;
 };
 
 struct DeltaRunResult {

@@ -2,10 +2,11 @@
 
 #include <memory>
 #include <queue>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "src/runtime/collectives.hpp"
+#include "src/sssp/cost_model.hpp"
 #include "src/sssp/update.hpp"
 #include "src/util/assert.hpp"
 #include "src/util/prefetch.hpp"
@@ -18,7 +19,14 @@ using graph::Dist;
 using graph::VertexId;
 using runtime::Pe;
 using runtime::PeId;
+using sssp::kCosts;
 using sssp::Update;
+
+/// Spacing of the termination-detection reduction cycles (each of which
+/// also flushes the aggregation buffers).
+constexpr runtime::SimTime kDetectorIntervalUs = 40.0;
+/// Updates popped from pq per idle invocation.
+constexpr std::size_t kPqDrainBatch = 32;
 
 struct PeState {
   VertexId first = 0;
@@ -58,14 +66,18 @@ class DcEngine {
                                          Deliver{this});
 
     detector_ = std::make_unique<runtime::TerminationDetector>(
-        machine_,
-        [this](Pe& pe) {
+        machine_, /*engine_slots=*/0, kDetectorIntervalUs,
+        [this](Pe& pe, std::vector<double>& report) {
           const PeState& state = pes_[pe.id()];
-          return std::make_pair(state.created, state.processed);
+          report.push_back(static_cast<double>(state.created));
+          report.push_back(static_cast<double>(state.processed));
+        },
+        [](Pe&, std::uint64_t, const std::vector<double>&) {
+          return std::vector<double>{};
         },
         // Tick: the manual flush that keeps the sparse tail moving.
-        [this](Pe& pe) { tram_->flush_all(pe); },
-        [](Pe&) {}, config_.detector_interval_us);
+        [this](Pe& pe, std::span<const double>) { tram_->flush_all(pe); },
+        [](Pe&) {});
 
     if (config_.use_priority) {
       for (PeId p = 0; p < machine_.num_pes(); ++p) {
@@ -140,7 +152,7 @@ class DcEngine {
 
   void on_deliver(Pe& pe, const Update& u) {
     PeState& state = pes_[pe.id()];
-    pe.charge(config_.costs.update_apply_us);
+    pe.charge(kCosts.update_apply_us);
     const VertexId local = u.vertex - state.first;
     ACIC_ASSERT(u.vertex >= state.first && u.vertex < state.last);
 
@@ -156,7 +168,7 @@ class DcEngine {
       expand(pe, u);
       return;
     }
-    pe.charge(config_.costs.pq_op_us);
+    pe.charge(kCosts.pq_op_us);
     state.pq.push(u);
   }
 
@@ -164,8 +176,8 @@ class DcEngine {
     PeState& state = pes_[pe.id()];
     bool any = false;
     for (std::size_t i = 0;
-         i < config_.pq_drain_batch && !state.pq.empty(); ++i) {
-      pe.charge(config_.costs.pq_op_us);
+         i < kPqDrainBatch && !state.pq.empty(); ++i) {
+      pe.charge(kCosts.pq_op_us);
       const Update u = state.pq.top();
       state.pq.pop();
       // The new top is almost always the next pop of this batch: warm
@@ -191,7 +203,7 @@ class DcEngine {
   void expand(Pe& pe, const Update& u) {
     PeState& state = pes_[pe.id()];
     for (const graph::Neighbor& nb : csr_.out_neighbors(u.vertex)) {
-      pe.charge(config_.costs.edge_relax_us);
+      pe.charge(kCosts.edge_relax_us);
       create_update(pe, nb.dst, u.dist + nb.weight);
     }
     ++state.processed;

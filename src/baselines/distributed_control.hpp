@@ -16,7 +16,6 @@
 #include "src/graph/csr.hpp"
 #include "src/graph/partition.hpp"
 #include "src/runtime/machine.hpp"
-#include "src/sssp/cost_model.hpp"
 #include "src/sssp/result.hpp"
 #include "src/tram/tram.hpp"
 
@@ -27,11 +26,6 @@ struct DistributedControlConfig {
   /// key idea); false gives the unordered §II.A baseline.
   bool use_priority = true;
   tram::TramConfig tram;
-  sssp::CostModel costs;
-  /// Spacing of the termination-detection reduction cycles (each of
-  /// which also flushes the aggregation buffers).
-  runtime::SimTime detector_interval_us = 40.0;
-  std::size_t pq_drain_batch = 32;
 };
 
 struct DistributedControlRunResult {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/runtime/collectives.hpp"
+#include "src/sssp/cost_model.hpp"
 #include "src/util/assert.hpp"
 #include "src/util/prefetch.hpp"
 
@@ -18,6 +19,7 @@ using graph::VertexId;
 using runtime::Pe;
 using runtime::PeId;
 using runtime::Superstep;
+using sssp::kCosts;
 
 /// Spacing between barrier re-contributions while in-flight messages
 /// drain.
@@ -163,7 +165,7 @@ class KlaEngine {
     PeState& state = pes_[pe.id()];
     ++state.created;
     ++state.sent;
-    pe.charge(config_.costs.edge_relax_us);
+    pe.charge(kCosts.edge_relax_us);
     tram_->insert(pe, partition_.owner(target),
                   KlaUpdate{target, d, hops});
   }
@@ -172,7 +174,7 @@ class KlaEngine {
     PeState& state = pes_[pe.id()];
     ++state.recv;
     ++state.processed;
-    pe.charge(config_.costs.update_apply_us);
+    pe.charge(kCosts.update_apply_us);
     const VertexId local = u.vertex - state.first;
     ACIC_ASSERT(u.vertex >= state.first && u.vertex < state.last);
 

@@ -15,7 +15,6 @@
 #include "src/graph/csr.hpp"
 #include "src/graph/partition.hpp"
 #include "src/runtime/machine.hpp"
-#include "src/sssp/cost_model.hpp"
 #include "src/sssp/result.hpp"
 #include "src/tram/tram.hpp"
 
@@ -31,7 +30,6 @@ struct KlaConfig {
   double grow_ratio = 1.2;
   double shrink_ratio = 0.5;
   tram::TramConfig tram;
-  sssp::CostModel costs;
 };
 
 struct KlaRunResult {

@@ -1,13 +1,14 @@
 #include "src/cc/async_cc.hpp"
 
 #include <memory>
-#include <optional>
 #include <queue>
+#include <span>
 #include <utility>
 
 #include "src/core/hold.hpp"
 #include "src/core/thresholds.hpp"
 #include "src/runtime/collectives.hpp"
+#include "src/sssp/cost_model.hpp"
 #include "src/util/assert.hpp"
 
 namespace acic::cc {
@@ -17,6 +18,18 @@ namespace {
 using graph::VertexId;
 using runtime::Pe;
 using runtime::PeId;
+using sssp::kCosts;
+
+/// Label-histogram buckets over [0, |V|).
+constexpr std::size_t kNumBuckets = 256;
+/// Fraction of active label updates admitted to pq immediately (ACIC's
+/// p_pq analogue; low values suppress propagation of labels that will
+/// lose to a smaller one anyway).
+constexpr double kPPq = 0.05;
+/// Delay between a PE's tick and its next report.
+constexpr runtime::SimTime kReductionIntervalUs = 10.0;
+/// Label updates popped from pq per idle invocation.
+constexpr std::size_t kPqDrainBatch = 32;
 
 /// A label update: "vertex may belong to label's component".
 struct LabelUpdate {
@@ -50,7 +63,6 @@ struct PeState {
   /// Reusable hold-release scratch (per-PE: broadcasts on different
   /// nodes run concurrently under the parallel engine).
   std::vector<sssp::Update> release_scratch;
-  bool terminated = false;
 };
 
 class AsyncCcEngine {
@@ -64,7 +76,7 @@ class AsyncCcEngine {
         config_(config),
         bucket_width_(std::max<double>(
             1.0, static_cast<double>(csr.num_vertices()) /
-                     static_cast<double>(config.num_buckets))),
+                     static_cast<double>(kNumBuckets))),
         pes_(machine.num_pes()) {
     ACIC_ASSERT(partition.num_parts() == machine.num_pes());
 
@@ -76,9 +88,9 @@ class AsyncCcEngine {
       for (VertexId v = state.first; v < state.last; ++v) {
         state.labels[v - state.first] = v;  // own id
       }
-      state.histogram.assign(config_.num_buckets, 0);
-      state.pq_hold = core::BucketedHold(config_.num_buckets);
-      state.t_pq = config_.num_buckets - 1;
+      state.histogram.assign(kNumBuckets, 0);
+      state.pq_hold = core::BucketedHold(kNumBuckets);
+      state.t_pq = kNumBuckets - 1;
     }
 
     tram::TramConfig tram_config = config_.tram;
@@ -87,7 +99,20 @@ class AsyncCcEngine {
         machine_, tram_config,
         [this](Pe& pe, const LabelUpdate& u) { on_deliver(pe, u); });
 
-    build_reducer();
+    // The engine's slots after created and processed: the label
+    // histogram.
+    detector_ = std::make_unique<runtime::TerminationDetector>(
+        machine_, kNumBuckets, kReductionIntervalUs,
+        [this](Pe& pe, std::vector<double>& report) {
+          report_cycle(pe, report);
+        },
+        [this](Pe&, std::uint64_t, const std::vector<double>& sums) {
+          return on_root(sums);
+        },
+        [this](Pe& pe, std::span<const double> payload) {
+          on_tick(pe, payload);
+        },
+        [](Pe&) {});
 
     for (PeId p = 0; p < machine_.num_pes(); ++p) {
       // add (not set): leaves the PE's idle dispatch shareable with
@@ -96,8 +121,8 @@ class AsyncCcEngine {
           p, [this](Pe& pe) { return drain_pq(pe); }));
       // Seed: every vertex announces its own id to its neighbors once.
       machine_.schedule_at(0.0, p, [this](Pe& pe) { seed(pe); });
-      machine_.schedule_at(0.0, p, [this](Pe& pe) { contribute(pe); });
     }
+    detector_->start();
   }
 
   ~AsyncCcEngine() {
@@ -110,7 +135,7 @@ class AsyncCcEngine {
     const runtime::RunStats stats = machine_.run(time_limit_us);
     AsyncCcResult result;
     result.hit_time_limit = stats.hit_time_limit;
-    result.reduction_cycles = reducer_->cycles_completed();
+    result.reduction_cycles = detector_->cycles();
     result.network_messages = stats.messages_sent;
     result.sim_time_us = stats.end_time_us;
     result.labels.resize(csr_.num_vertices());
@@ -130,7 +155,7 @@ class AsyncCcEngine {
   std::size_t bucket_of(VertexId label) const {
     const auto b = static_cast<std::size_t>(
         static_cast<double>(label) / bucket_width_);
-    return b < config_.num_buckets ? b : config_.num_buckets - 1;
+    return b < kNumBuckets ? b : kNumBuckets - 1;
   }
 
   /// Initial wave: every vertex proposes its own id to its neighbors.
@@ -141,7 +166,7 @@ class AsyncCcEngine {
     for (VertexId v = state.first; v < state.last; ++v) {
       for (const graph::Neighbor& nb : csr_.out_neighbors(v)) {
         if (nb.dst > v) {
-          pe.charge(config_.costs.edge_relax_us);
+          pe.charge(kCosts.edge_relax_us);
           create_update(pe, nb.dst, v);
         }
       }
@@ -163,7 +188,7 @@ class AsyncCcEngine {
 
   void on_deliver(Pe& pe, const LabelUpdate& u) {
     PeState& state = state_of(pe);
-    pe.charge(config_.costs.update_apply_us);
+    pe.charge(kCosts.update_apply_us);
     const VertexId local = u.vertex - state.first;
     ACIC_ASSERT(u.vertex >= state.first && u.vertex < state.last);
 
@@ -180,7 +205,7 @@ class AsyncCcEngine {
     }
     const std::size_t bucket = bucket_of(u.label);
     if (bucket <= state.t_pq) {
-      pe.charge(config_.costs.pq_op_us);
+      pe.charge(kCosts.pq_op_us);
       state.pq.push(u);
     } else {
       state.pq_hold.put(bucket,
@@ -192,8 +217,8 @@ class AsyncCcEngine {
     PeState& state = state_of(pe);
     bool any = false;
     for (std::size_t i = 0;
-         i < config_.pq_drain_batch && !state.pq.empty(); ++i) {
-      pe.charge(config_.costs.pq_op_us);
+         i < kPqDrainBatch && !state.pq.empty(); ++i) {
+      pe.charge(kCosts.pq_op_us);
       const LabelUpdate u = state.pq.top();
       state.pq.pop();
       any = true;
@@ -209,66 +234,42 @@ class AsyncCcEngine {
 
   void expand(Pe& pe, const LabelUpdate& u) {
     for (const graph::Neighbor& nb : csr_.out_neighbors(u.vertex)) {
-      pe.charge(config_.costs.edge_relax_us);
+      pe.charge(kCosts.edge_relax_us);
       create_update(pe, nb.dst, u.label);
     }
     mark_processed(state_of(pe), u.label);
   }
 
-  std::size_t payload_width() const { return config_.num_buckets + 2; }
-
-  void contribute(Pe& pe) {
-    PeState& state = state_of(pe);
-    if (state.terminated) return;
-    std::vector<double> payload;
-    payload.reserve(payload_width());
+  void report_cycle(Pe& pe, std::vector<double>& report) {
+    const PeState& state = state_of(pe);
+    report.push_back(static_cast<double>(state.created));
+    report.push_back(static_cast<double>(state.processed));
     for (const std::int64_t c : state.histogram) {
-      payload.push_back(static_cast<double>(c));
+      report.push_back(static_cast<double>(c));
     }
-    payload.push_back(static_cast<double>(state.created));
-    payload.push_back(static_cast<double>(state.processed));
-    reducer_->contribute(pe, payload);
   }
 
-  void build_reducer() {
-    reducer_ = std::make_unique<runtime::Reducer>(
-        machine_, payload_width(),
-        [this](Pe&, std::uint64_t, const std::vector<double>& sum)
-            -> std::optional<std::vector<double>> {
-          if (drain_.observe(sum[config_.num_buckets],
-                             sum[config_.num_buckets + 1])) {
-            return std::vector<double>{0.0, 1.0};
-          }
+  /// Root hook: the pq threshold from the global label histogram.
+  std::vector<double> on_root(const std::vector<double>& sums) {
+    const std::vector<double> histogram(sums.begin() + 2, sums.end());
+    const core::Thresholds t = core::compute_thresholds(
+        histogram, machine_.num_pes(), core::ThresholdPolicy{1.0, kPPq});
+    return std::vector<double>{static_cast<double>(t.t_pq)};
+  }
 
-          const std::vector<double> histogram(
-              sum.begin(), sum.begin() + config_.num_buckets);
-          const core::ThresholdPolicy policy{
-              1.0, config_.p_pq, config_.low_activity_factor};
-          const core::Thresholds t = core::compute_thresholds(
-              histogram, machine_.num_pes(), policy);
-          return std::vector<double>{static_cast<double>(t.t_pq), 0.0};
-        },
-        [this](Pe& pe, std::uint64_t, const std::vector<double>& payload) {
-          PeState& state = state_of(pe);
-          if (payload[1] != 0.0) {
-            state.terminated = true;
-            return;
-          }
-          state.t_pq = static_cast<std::size_t>(payload[0]);
-          std::vector<sssp::Update>& release_buffer = state.release_scratch;
-          release_buffer.clear();
-          state.pq_hold.release_up_to(state.t_pq, &release_buffer);
-          for (const sssp::Update& u : release_buffer) {
-            pe.charge(config_.costs.pq_op_us);
-            state.pq.push(LabelUpdate{
-                u.vertex, static_cast<VertexId>(u.dist)});
-          }
-          tram_->flush_all(pe);
-          const PeId id = pe.id();
-          machine_.schedule_at(pe.now() + config_.reduction_interval_us,
-                               id,
-                               [this](Pe& next) { contribute(next); });
-        });
+  /// Tick hook: adopt the pq threshold, release held labels up to it,
+  /// and flush the tram.
+  void on_tick(Pe& pe, std::span<const double> payload) {
+    PeState& state = state_of(pe);
+    state.t_pq = static_cast<std::size_t>(payload[0]);
+    std::vector<sssp::Update>& release_buffer = state.release_scratch;
+    release_buffer.clear();
+    state.pq_hold.release_up_to(state.t_pq, &release_buffer);
+    for (const sssp::Update& u : release_buffer) {
+      pe.charge(kCosts.pq_op_us);
+      state.pq.push(LabelUpdate{u.vertex, static_cast<VertexId>(u.dist)});
+    }
+    tram_->flush_all(pe);
   }
 
   runtime::Machine& machine_;
@@ -280,9 +281,7 @@ class AsyncCcEngine {
   std::vector<PeState> pes_;
   std::vector<runtime::IdleHandlerId> idle_handler_ids_;
   std::unique_ptr<tram::Tram<LabelUpdate>> tram_;
-  std::unique_ptr<runtime::Reducer> reducer_;
-
-  runtime::DrainRule drain_;
+  std::unique_ptr<runtime::TerminationDetector> detector_;
 };
 
 }  // namespace

@@ -21,22 +21,12 @@
 #include "src/graph/csr.hpp"
 #include "src/graph/partition.hpp"
 #include "src/runtime/machine.hpp"
-#include "src/sssp/cost_model.hpp"
 #include "src/tram/tram.hpp"
 
 namespace acic::cc {
 
 struct AsyncCcConfig {
-  /// Fraction of active label updates admitted to pq immediately
-  /// (ACIC's p_pq analogue; low values suppress propagation of labels
-  /// that will lose to a smaller one anyway).
-  double p_pq = 0.05;
-  std::uint64_t low_activity_factor = 100;
-  std::size_t num_buckets = 256;
   tram::TramConfig tram;
-  sssp::CostModel costs;
-  runtime::SimTime reduction_interval_us = 10.0;
-  std::size_t pq_drain_batch = 32;
   /// Disable the priority queue (propagate on arrival) — the naive
   /// asynchronous baseline for the ablation.
   bool use_pq = true;

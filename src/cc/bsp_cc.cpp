@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/runtime/collectives.hpp"
+#include "src/sssp/cost_model.hpp"
 #include "src/util/assert.hpp"
 
 namespace acic::cc {
@@ -124,7 +125,7 @@ class BspCcEngine {
     PeState& state = pes_[pe.id()];
     ++state.recv;
     ++state.processed;
-    pe.charge(config_.costs.update_apply_us);
+    pe.charge(sssp::kCosts.update_apply_us);
     const VertexId local = u.vertex - state.first;
     ACIC_ASSERT(u.vertex >= state.first && u.vertex < state.last);
     if (u.label >= state.labels[local]) {
@@ -151,7 +152,7 @@ class BspCcEngine {
         // standard optimization only pushes to larger-labeled directions
         // when the label is the vertex's own id, but after that the
         // owner cannot know the neighbor's label, so push always.
-        pe.charge(config_.costs.edge_relax_us);
+        pe.charge(sssp::kCosts.edge_relax_us);
         ++state.created;
         ++state.sent;
         tram_->insert(pe, partition_.owner(nb.dst),

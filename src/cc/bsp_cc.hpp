@@ -12,14 +12,12 @@
 #include "src/graph/csr.hpp"
 #include "src/graph/partition.hpp"
 #include "src/runtime/machine.hpp"
-#include "src/sssp/cost_model.hpp"
 #include "src/tram/tram.hpp"
 
 namespace acic::cc {
 
 struct BspCcConfig {
   tram::TramConfig tram;
-  sssp::CostModel costs;
 };
 
 struct BspCcResult {

@@ -10,6 +10,7 @@
 #include "src/core/hold.hpp"
 #include "src/obs/registry.hpp"
 #include "src/runtime/collectives.hpp"
+#include "src/sssp/cost_model.hpp"
 #include "src/sssp/update.hpp"
 #include "src/tram/tram.hpp"
 #include "src/util/assert.hpp"
@@ -119,9 +120,7 @@ struct alignas(64) PeState {
   std::uint64_t held_in_pq_hold = 0;
   std::uint64_t expanded = 0;
 
-  /// Reusable contribution payload (histogram counts + 3 scalars).
-  std::vector<double> payload_scratch;
-  /// Reusable hold-release scratch for on_broadcast (per-PE, not shared:
+  /// Reusable hold-release scratch for on_tick (per-PE, not shared:
   /// under the parallel engine broadcasts on different nodes run
   /// concurrently).
   std::vector<UpdateMsg> release_scratch;
@@ -217,7 +216,20 @@ class AcicEngine::Impl {
     node_term_.resize(machine_.topology().nodes);
     pes_per_node_ = machine_.num_pes() / machine_.topology().nodes;
 
-    build_reducer();
+    // The engine's slots after created and processed: finalized, then
+    // the histogram buckets (see kPayloadHead).
+    detector_ = std::make_unique<runtime::TerminationDetector>(
+        machine_, 1 + config_.num_buckets, kReductionIntervalUs,
+        [this](Pe& pe, std::vector<double>& report) {
+          report_cycle(pe, report);
+        },
+        [this](Pe& pe, std::uint64_t cycle, const std::vector<double>& sums) {
+          return on_root(pe, cycle, sums);
+        },
+        [this](Pe& pe, std::span<const double> payload) {
+          on_tick(pe, payload);
+        },
+        [this](Pe& pe) { on_done(pe); });
 
     steal_queues_.resize(machine_.topology().num_procs());
     idle_handler_ids_.reserve(machine_.num_pes());
@@ -233,8 +245,8 @@ class AcicEngine::Impl {
           }));
     }
 
-    // Inject the initial updates before the first contributions are
-    // scheduled so the initial reduction can never observe a spurious
+    // Inject the initial updates before the first reports are scheduled
+    // so the initial reduction can never observe a spurious
     // created == processed (a cold run terminating at 0 == 0 before the
     // source update lands would be wrong; a warm run with no seeds is
     // *correctly* quiescent, so its empty injection is fine).  The seeds
@@ -271,9 +283,7 @@ class AcicEngine::Impl {
             }
           });
     }
-    for (PeId p = 0; p < machine_.num_pes(); ++p) {
-      machine_.schedule_at(start, p, [this](Pe& pe) { contribute(pe); });
-    }
+    detector_->start(start);
   }
 
   ~Impl() {
@@ -289,7 +299,7 @@ class AcicEngine::Impl {
 
   AcicRunResult collect() const {
     AcicRunResult result;
-    result.reduction_cycles = reducer_->cycles_completed();
+    result.reduction_cycles = detector_->cycles();
     result.histograms = snapshots_;
 
     result.sssp.dist.assign(csr_.num_vertices(), graph::kInfDist);
@@ -322,7 +332,7 @@ class AcicEngine::Impl {
       result.lifecycle.superseded_in_pq += state.superseded;
       result.lifecycle.expanded += state.expanded;
     }
-    result.sssp.metrics.collective_cycles = reducer_->cycles_completed();
+    result.sssp.metrics.collective_cycles = detector_->cycles();
     return result;
   }
 
@@ -407,7 +417,7 @@ class AcicEngine::Impl {
                  Dist base, std::uint32_t lane) {
     util::prefetch_row(row.data(), row.size_bytes());
     Pe::Meter meter(pe);
-    const runtime::SimTime relax_us = pe.scaled(config_.costs.edge_relax_us);
+    const runtime::SimTime relax_us = pe.scaled(sssp::kCosts.edge_relax_us);
     const runtime::SimTime insert_us = pe.scaled(tram_->insert_charge_us());
     const std::size_t t_tram = tram_threshold(state);
     std::uint64_t sent = 0;
@@ -453,8 +463,8 @@ class AcicEngine::Impl {
     ACIC_ASSERT_MSG(!state.terminated, "update batch reached a retired PE");
     Pe::Meter meter(pe);
     const runtime::SimTime deliver = pe.scaled(deliver_us);
-    const runtime::SimTime apply = pe.scaled(config_.costs.update_apply_us);
-    const runtime::SimTime pq_op = pe.scaled(config_.costs.pq_op_us);
+    const runtime::SimTime apply = pe.scaled(sssp::kCosts.update_apply_us);
+    const runtime::SimTime pq_op = pe.scaled(sssp::kCosts.pq_op_us);
     const bool use_pq = config_.use_pq;
     const std::size_t t_pq = config_.use_pq_hold ? state.t_pq : kNoHold;
     std::uint64_t rejected = 0;
@@ -508,14 +518,18 @@ class AcicEngine::Impl {
     state.held_in_pq_hold += held;
   }
 
+  /// Updates popped from pq per idle invocation; small batches keep the
+  /// PE responsive to arriving messages and broadcasts.
+  static constexpr std::size_t kPqDrainBatch = 32;
+
   /// Idle-time drain: pop improving updates in increasing distance order
   /// and expand only those still current (dist(v) == d).
   bool drain_pq(Pe& pe) {
     PeState& state = state_of(pe);
     bool any = false;
     for (std::size_t i = 0;
-         i < config_.pq_drain_batch && !state.pq.empty(); ++i) {
-      pe.charge(config_.costs.pq_op_us);
+         i < kPqDrainBatch && !state.pq.empty(); ++i) {
+      pe.charge(sssp::kCosts.pq_op_us);
       const UpdateMsg u = state.pq.pop_top();
       // The heap's new top is almost always the next pop of this batch:
       // start its distance-slot and CSR-row loads now, behind the
@@ -661,57 +675,35 @@ class AcicEngine::Impl {
 
   // ---- introspection cycle ----------------------------------------------
 
-  /// Payload layout: [created, processed, finalized, bucket 0, ...].
-  /// The scalars lead so a contribution can end at its highest non-zero
-  /// bucket (the Reducer treats missing slots as zero); on the benchmark
-  /// graphs that is bucket ~50 of 512.  `finalized` is always 0: it is
-  /// the slot of the finalized-vertex termination the paper abandoned
-  /// (§II.D), kept so the payload's simulated size and combine charges
-  /// stay as recorded.
+  /// Report layout: [created, processed, finalized, bucket 0, ...].
+  /// The scalars lead so a report can end at its highest non-zero bucket
+  /// (the Reducer treats missing slots as zero); on the benchmark graphs
+  /// that is bucket ~50 of 512.  `finalized` is always 0: it is the slot
+  /// of the finalized-vertex termination the paper abandoned (§II.D),
+  /// kept so the payload's simulated size and combine charges stay as
+  /// recorded.
   static constexpr std::size_t kPayloadHead = 3;
-  std::size_t payload_width() const {
-    return kPayloadHead + config_.num_buckets;
+
+  /// Delay between a PE's tick and its next report; bounds the
+  /// introspection rate.  The reductions overlap with update processing
+  /// (that is the point of ACIC), so a short interval costs little —
+  /// fig. 3 quantifies exactly how little.
+  static constexpr runtime::SimTime kReductionIntervalUs = 10.0;
+
+  void report_cycle(Pe& pe, std::vector<double>& report) {
+    const PeState& state = state_of(pe);
+    report.push_back(static_cast<double>(state.created));
+    report.push_back(static_cast<double>(state.processed));
+    report.push_back(0.0);  // finalized
+    state.histogram.append_to(&report);
   }
 
-  void contribute(Pe& pe) {
-    PeState& state = state_of(pe);
-    if (state.terminated) return;
-    // Reused per-PE scratch: contribute runs every reduction cycle and
-    // the Reducer only reads the payload during the call.
-    std::vector<double>& payload = state.payload_scratch;
-    payload.clear();
-    payload.reserve(payload_width());
-    payload.push_back(static_cast<double>(state.created));
-    payload.push_back(static_cast<double>(state.processed));
-    payload.push_back(0.0);  // finalized
-    state.histogram.append_to(&payload);
-    reducer_->contribute(pe, payload);
-  }
-
-  void build_reducer() {
-    reducer_ = std::make_unique<runtime::Reducer>(
-        machine_, payload_width(),
-        [this](Pe& pe, std::uint64_t cycle,
-               const std::vector<double>& sum)
-            -> std::optional<std::vector<double>> {
-          return on_root(pe, cycle, sum);
-        },
-        [this](Pe& pe, std::uint64_t cycle,
-               const std::vector<double>& payload) {
-          on_broadcast(pe, cycle, payload);
-        });
-  }
-
-  /// Root handler: Algorithm 1 — check quiescence, else walk the global
-  /// histogram for the two thresholds; always broadcast.
-  std::optional<std::vector<double>> on_root(
-      Pe& pe, std::uint64_t cycle, const std::vector<double>& sum) {
+  /// Root hook: Algorithm 1 — walk the global histogram of an undrained
+  /// cycle for the two thresholds, which every PE's tick adopts.
+  std::vector<double> on_root(Pe& pe, std::uint64_t cycle,
+                              const std::vector<double>& sum) {
     const double created = sum[0];
     const double processed = sum[1];
-    if (root_drain_.observe(created, processed)) {
-      return std::vector<double>{0.0, 0.0, 1.0, 0.0};  // terminate
-    }
-
     const std::vector<double> histogram(sum.begin() + kPayloadHead,
                                         sum.end());
     Thresholds t;
@@ -719,8 +711,7 @@ class AcicEngine::Impl {
       t = compute_thresholds_work_window(histogram, machine_.num_pes(),
                                          config_.work_window);
     } else {
-      const ThresholdPolicy policy{config_.p_tram, config_.p_pq,
-                                   config_.low_activity_factor};
+      const ThresholdPolicy policy{config_.p_tram, config_.p_pq};
       t = compute_thresholds(histogram, machine_.num_pes(), policy);
     }
 
@@ -746,41 +737,14 @@ class AcicEngine::Impl {
       reg.append_histogram(obs_histogram_, cycle, pe.now(), histogram);
     }
 
-    // Slot 3 is unused; the broadcast keeps its recorded width.
     return std::vector<double>{static_cast<double>(t.t_tram),
-                               static_cast<double>(t.t_pq), 0.0, 0.0};
+                               static_cast<double>(t.t_pq)};
   }
 
-  /// Broadcast handler: adopt the new thresholds, release holds in
-  /// increasing bucket order, flush tramlib, and re-contribute.
-  void on_broadcast(Pe& pe, std::uint64_t /*cycle*/,
-                    const std::vector<double>& payload) {
+  /// Tick hook: adopt the new thresholds, release holds in increasing
+  /// bucket order, and flush tramlib.
+  void on_tick(Pe& pe, std::span<const double> payload) {
     PeState& state = state_of(pe);
-    if (payload[2] != 0.0) {
-      // Quiescence: every created update was processed, so none waits.
-      ACIC_ASSERT_MSG(state.pq.empty() && state.pq_hold.empty() &&
-                          state.tram_hold.empty(),
-                      "updates pending at termination");
-      state.terminated = true;
-      // Retirement counting is per simulated node (each node owns its
-      // own counter — under the parallel engine PEs of different nodes
-      // retire concurrently).  The last PE of each node reports "node
-      // done" to PE 0 with an ordinary message; PE 0 counts nodes and
-      // completes the query when the last report lands.  By then the
-      // created == processed quiescence means no update message still
-      // references this engine, so the owner may schedule retirement
-      // (in a *separate* task — our frames are on the stack here).
-      const std::uint32_t node = machine_.topology().node_of(pe.id());
-      if (++node_term_[node].terminated == pes_per_node_) {
-        pe.send(0, 8, [this](Pe& root) {
-          if (++nodes_done_ == machine_.topology().nodes &&
-              options_.on_complete) {
-            options_.on_complete(root);
-          }
-        });
-      }
-      return;
-    }
     state.t_tram = static_cast<std::size_t>(payload[0]);
     state.t_pq = static_cast<std::size_t>(payload[1]);
 
@@ -805,17 +769,40 @@ class AcicEngine::Impl {
                      release_buffer.size(), pe.now());
     }
     for (const UpdateMsg& u : release_buffer) {
-      pe.charge(config_.costs.pq_op_us);
+      pe.charge(sssp::kCosts.pq_op_us);
       state.pq.push(u);
     }
 
     // The paper's manual flush: guarantees buffered updates eventually
     // move even when the tail has too little traffic to fill buffers.
     tram_->flush_all(pe);
+  }
 
-    const PeId id = pe.id();
-    machine_.schedule_at(pe.now() + config_.reduction_interval_us, id,
-                         [this](Pe& next) { contribute(next); });
+  /// Done hook: quiescence, so every created update was processed and
+  /// none waits.
+  void on_done(Pe& pe) {
+    PeState& state = state_of(pe);
+    ACIC_ASSERT_MSG(state.pq.empty() && state.pq_hold.empty() &&
+                        state.tram_hold.empty(),
+                    "updates pending at termination");
+    state.terminated = true;
+    // Retirement counting is per simulated node (each node owns its own
+    // counter — under the parallel engine PEs of different nodes retire
+    // concurrently).  The last PE of each node reports "node done" to
+    // PE 0 with an ordinary message; PE 0 counts nodes and completes the
+    // query when the last report lands.  By then the created ==
+    // processed quiescence means no update message still references
+    // this engine, so the owner may schedule retirement (in a *separate*
+    // task — our frames are on the stack here).
+    const std::uint32_t node = machine_.topology().node_of(pe.id());
+    if (++node_term_[node].terminated == pes_per_node_) {
+      pe.send(0, 8, [this](Pe& root) {
+        if (++nodes_done_ == machine_.topology().nodes &&
+            options_.on_complete) {
+          options_.on_complete(root);
+        }
+      });
+    }
   }
 
   runtime::Machine& machine_;
@@ -842,9 +829,7 @@ class AcicEngine::Impl {
   /// PE 0's tasks; read by complete() after run() returns.
   std::uint32_t nodes_done_ = 0;
   std::unique_ptr<UpdateTram> tram_;
-  std::unique_ptr<runtime::Reducer> reducer_;
-
-  runtime::DrainRule root_drain_;  // termination: created == processed
+  std::unique_ptr<runtime::TerminationDetector> detector_;
 
   std::vector<HistogramSnapshot> snapshots_;
 

@@ -5,7 +5,6 @@
 #include <cstdint>
 
 #include "src/core/thresholds.hpp"
-#include "src/sssp/cost_model.hpp"
 #include "src/tram/tram.hpp"
 
 namespace acic::core {
@@ -17,8 +16,6 @@ struct AcicConfig {
   /// PQ threshold percentile p_pq in (0, 1]; the paper finds 0.05 optimal
   /// (only the lowest-distance 5% of updates enter pq immediately).
   double p_pq = 0.05;
-  /// The 100·|PE| low-activity rule multiplier.
-  std::uint64_t low_activity_factor = 100;
 
   /// Threshold function: the paper's two-tier Algorithm 1 by default, or
   /// the future-work shape-aware work-window function (§V).
@@ -33,18 +30,6 @@ struct AcicConfig {
   /// Message aggregation (paper finds WP best for SSSP; buffer size is
   /// swept in fig. 6).
   tram::TramConfig tram;
-
-  /// Delay between a PE receiving a broadcast and contributing to the
-  /// next reduction cycle; bounds the introspection rate.  The reductions
-  /// overlap with update processing (that is the point of ACIC), so a
-  /// short interval costs little — fig. 3 quantifies exactly how little.
-  runtime::SimTime reduction_interval_us = 10.0;
-
-  /// Updates popped from pq per idle invocation; small batches keep the
-  /// PE responsive to arriving messages and broadcasts.
-  std::size_t pq_drain_batch = 32;
-
-  sssp::CostModel costs;
 
   // ---- ablation switches (all true reproduces the paper's ACIC) ----
   /// Min-priority queue of improving updates (off = expand immediately on

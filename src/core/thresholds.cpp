@@ -16,14 +16,17 @@ std::size_t bucket_at_fraction(const std::vector<double>& histogram,
   return histogram.size() - 1;
 }
 
+/// The "low activity" cutoff: at most this many active updates per PE
+/// open both thresholds (the paper's 100·|PE| rule).
+constexpr std::uint64_t kLowActivityFactor = 100;
+
 Thresholds compute_thresholds(const std::vector<double>& global_histogram,
                               std::uint32_t num_pes,
                               const ThresholdPolicy& policy) {
   double total = 0.0;
   for (const double c : global_histogram) total += c;
 
-  const double low_cutoff =
-      static_cast<double>(policy.low_activity_factor) * num_pes;
+  const double low_cutoff = static_cast<double>(kLowActivityFactor) * num_pes;
   Thresholds t;
   if (total <= low_cutoff) {
     // Low parallelism: open both thresholds fully so every held update

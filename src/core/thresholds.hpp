@@ -7,11 +7,11 @@
 //     sending; higher-distance updates wait in the sender-side tram_hold.
 //   * t_pq   — accepted updates in buckets <= t_pq enter the receiver's
 //     priority queue immediately; the rest wait in pq_hold.
-// When few updates are active (<= low_activity_factor * |PE|, the
-// paper's 100·|PE| rule) parallelism is scarce, so both thresholds open
-// fully (the top bucket) and everything flows.  Otherwise each threshold
-// is the bucket at which a user-supplied fraction (p_tram / p_pq) of the
-// active-update mass is covered, walking from the lowest bucket.
+// When few updates are active (the paper's 100·|PE| rule) parallelism is
+// scarce, so both thresholds open fully (the top bucket) and everything
+// flows.  Otherwise each threshold is the bucket at which a user-supplied
+// fraction (p_tram / p_pq) of the active-update mass is covered, walking
+// from the lowest bucket.
 
 #include <cstdint>
 #include <vector>
@@ -35,8 +35,6 @@ std::size_t bucket_at_fraction(const std::vector<double>& histogram,
 struct ThresholdPolicy {
   double p_tram = 0.999;
   double p_pq = 0.05;
-  /// The "low activity" cutoff multiplier (paper: 100 updates per PE).
-  std::uint64_t low_activity_factor = 100;
 };
 
 /// Computes both thresholds from the global histogram (Algorithm 1,

@@ -91,10 +91,19 @@ void stream_chunked(const GenParams& params, const EdgeSink& sink,
   }
 }
 
+/// RMAT quadrant probabilities (the Graph500 values); d is 1 - a - b - c.
+constexpr double kRmatA = 0.57;
+constexpr double kRmatB = 0.19;
+constexpr double kRmatC = 0.19;
+constexpr double kRmatD = 1.0 - kRmatA - kRmatB - kRmatC;
+static_assert(kRmatD > 0.0, "RMAT probabilities must sum below 1");
+/// Per-level probability noise, as in PaRMAT, to avoid exact
+/// self-similar artifacts.
+constexpr double kRmatNoise = 0.1;
+
 /// One RMAT edge: quadrant recursion with per-level probability noise.
 Edge draw_rmat_edge(Xoshiro256& structure_rng, Xoshiro256& weight_rng,
-                    const GenParams& params, const RmatParams& rmat,
-                    double d, int levels) {
+                    const GenParams& params, int levels) {
   VertexId src = 0;
   VertexId dst = 0;
   for (int level = 0; level < levels; ++level) {
@@ -102,13 +111,13 @@ Edge draw_rmat_edge(Xoshiro256& structure_rng, Xoshiro256& weight_rng,
     // noise) so the degree distribution is power-law but not
     // exactly fractal.
     const double na =
-        rmat.a * (1.0 + rmat.noise * (structure_rng.next_double() - 0.5));
+        kRmatA * (1.0 + kRmatNoise * (structure_rng.next_double() - 0.5));
     const double nb =
-        rmat.b * (1.0 + rmat.noise * (structure_rng.next_double() - 0.5));
+        kRmatB * (1.0 + kRmatNoise * (structure_rng.next_double() - 0.5));
     const double nc =
-        rmat.c * (1.0 + rmat.noise * (structure_rng.next_double() - 0.5));
+        kRmatC * (1.0 + kRmatNoise * (structure_rng.next_double() - 0.5));
     const double nd =
-        d * (1.0 + rmat.noise * (structure_rng.next_double() - 0.5));
+        kRmatD * (1.0 + kRmatNoise * (structure_rng.next_double() - 0.5));
     const double total = na + nb + nc + nd;
     const double r = structure_rng.next_double() * total;
     src <<= 1;
@@ -142,10 +151,8 @@ Edge draw_uniform_edge(Xoshiro256& structure_rng, Xoshiro256& weight_rng,
 
 }  // namespace
 
-EdgeList generate_rmat(const GenParams& params, const RmatParams& rmat) {
+EdgeList generate_rmat(const GenParams& params) {
   ACIC_ASSERT(params.num_vertices > 0);
-  const double d = 1.0 - rmat.a - rmat.b - rmat.c;
-  ACIC_ASSERT_MSG(d > 0.0, "RMAT probabilities must sum below 1");
 
   const int levels = levels_for(params.num_vertices);
   std::vector<Edge> edges(params.num_edges);
@@ -154,9 +161,7 @@ EdgeList generate_rmat(const GenParams& params, const RmatParams& rmat) {
       params,
       [&](Xoshiro256& structure_rng, Xoshiro256& weight_rng,
           std::uint64_t i) {
-        edges[i] =
-            draw_rmat_edge(structure_rng, weight_rng, params, rmat, d,
-                           levels);
+        edges[i] = draw_rmat_edge(structure_rng, weight_rng, params, levels);
       });
 
   EdgeList list(params.num_vertices, std::move(edges));
@@ -164,16 +169,13 @@ EdgeList generate_rmat(const GenParams& params, const RmatParams& rmat) {
   return list;
 }
 
-void stream_rmat(const GenParams& params, const EdgeSink& sink,
-                 const RmatParams& rmat) {
+void stream_rmat(const GenParams& params, const EdgeSink& sink) {
   ACIC_ASSERT(params.num_vertices > 0);
-  const double d = 1.0 - rmat.a - rmat.b - rmat.c;
-  ACIC_ASSERT_MSG(d > 0.0, "RMAT probabilities must sum below 1");
   const int levels = levels_for(params.num_vertices);
   stream_chunked(params, sink,
                  [&](Xoshiro256& structure_rng, Xoshiro256& weight_rng) {
                    return draw_rmat_edge(structure_rng, weight_rng,
-                                         params, rmat, d, levels);
+                                         params, levels);
                  });
 }
 

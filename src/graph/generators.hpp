@@ -45,20 +45,9 @@ struct GenParams {
   unsigned threads = 1;
 };
 
-/// RMAT recursive-matrix parameters (defaults are the Graph500 values the
-/// paper's generator uses).
-struct RmatParams {
-  double a = 0.57;
-  double b = 0.19;
-  double c = 0.19;
-  /// d is implicitly 1 - a - b - c.
-  /// Per-level probability noise, as in PaRMAT, to avoid exact
-  /// self-similar artifacts.
-  double noise = 0.1;
-};
-
-/// Scale-free RMAT graph (Chakrabarti, Zhan & Faloutsos 2004).
-EdgeList generate_rmat(const GenParams& params, const RmatParams& rmat = {});
+/// Scale-free RMAT graph (Chakrabarti, Zhan & Faloutsos 2004), with the
+/// Graph500 quadrant probabilities the paper's generator uses.
+EdgeList generate_rmat(const GenParams& params);
 
 /// The paper's "random" workload: for each edge, origin and destination
 /// are independent uniform draws over the vertex set.
@@ -74,8 +63,7 @@ EdgeList generate_uniform_random(const GenParams& params);
 /// a consumer that sorts (StreamingCsrWriter), and the chunk → stream
 /// seeding already makes the multiset thread-invariant.
 using EdgeSink = std::function<void(std::span<const Edge>)>;
-void stream_rmat(const GenParams& params, const EdgeSink& sink,
-                 const RmatParams& rmat = {});
+void stream_rmat(const GenParams& params, const EdgeSink& sink);
 void stream_uniform_random(const GenParams& params, const EdgeSink& sink);
 
 /// Erdős–Rényi G(n, m): m distinct edges sampled uniformly without

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 #include <utility>
 
 #include "src/util/assert.hpp"
@@ -172,56 +171,62 @@ void Reducer::broadcast_down(Pe& pe, std::uint64_t cycle,
   on_bcast_(pe, cycle, payload);
 }
 
-TerminationDetector::TerminationDetector(
-    Machine& machine,
-    std::function<std::pair<std::uint64_t, std::uint64_t>(Pe&)> counters,
-    std::function<void(Pe&)> on_tick, std::function<void(Pe&)> on_terminate,
-    SimTime interval_us)
+namespace {
+
+// Slot 0 of every detector broadcast: whether the counters drained.  A
+// live cycle's payload follows it.
+constexpr double kCycleLive = 0.0;
+constexpr double kCycleDrained = 1.0;
+
+}  // namespace
+
+TerminationDetector::TerminationDetector(Machine& machine,
+                                         std::size_t engine_slots,
+                                         SimTime interval_us,
+                                         ReportHook report, RootHook on_root,
+                                         TickHook on_tick, DoneHook on_done)
     : machine_(machine),
-      counters_(std::move(counters)),
+      interval_us_(interval_us),
+      report_(std::move(report)),
+      on_root_(std::move(on_root)),
       on_tick_(std::move(on_tick)),
-      on_terminate_(std::move(on_terminate)),
-      interval_us_(interval_us) {
-  reducer_ = std::make_unique<Reducer>(
-      machine_, 2,
-      // Root handler: decide continue (payload {0}) vs terminate ({1}).
-      [this](Pe&, std::uint64_t, const std::vector<double>& sum)
-          -> std::optional<std::vector<double>> {
-        if (drain_.observe(sum[0], sum[1])) {
-          terminated_ = true;
-          return std::vector<double>{1.0};
-        }
-        return std::vector<double>{0.0};
-      },
-      // Broadcast handler: tick the application, then either stop or
-      // schedule the next contribution after the configured interval.
-      [this](Pe& pe, std::uint64_t, const std::vector<double>& payload) {
-        if (payload[0] != 0.0) {
-          on_terminate_(pe);
-          return;
-        }
-        on_tick_(pe);
-        const PeId id = pe.id();
-        machine_.schedule_at(pe.now() + interval_us_, id,
-                             [this](Pe& next_pe) {
-                               const auto [created, processed] =
-                                   counters_(next_pe);
-                               reducer_->contribute(
-                                   next_pe,
-                                   {static_cast<double>(created),
-                                    static_cast<double>(processed)});
-                             });
-      });
+      on_done_(std::move(on_done)),
+      reports_(machine.num_pes()),
+      reducer_(
+          machine, engine_slots + 2,
+          [this](Pe& pe, std::uint64_t cycle, const std::vector<double>& sums)
+              -> std::optional<std::vector<double>> {
+            if (drain_.observe(sums[0], sums[1])) {
+              terminated_ = true;
+              return std::vector<double>{kCycleDrained};
+            }
+            const std::vector<double> payload = on_root_(pe, cycle, sums);
+            std::vector<double> tagged{kCycleLive};
+            tagged.insert(tagged.end(), payload.begin(), payload.end());
+            return tagged;
+          },
+          [this](Pe& pe, std::uint64_t, const std::vector<double>& tagged) {
+            if (tagged[0] == kCycleDrained) {
+              on_done_(pe);
+              return;
+            }
+            on_tick_(pe, std::span<const double>(tagged).subspan(1));
+            machine_.schedule_at(pe.now() + interval_us_, pe.id(),
+                                 [this](Pe& next) { contribute(next); });
+          }) {}
+
+void TerminationDetector::start(SimTime time) {
+  for (PeId pe = 0; pe < machine_.num_pes(); ++pe) {
+    machine_.schedule_at(time, pe, [this](Pe& ctx) { contribute(ctx); });
+  }
 }
 
-void TerminationDetector::start() {
-  for (PeId pe = 0; pe < machine_.num_pes(); ++pe) {
-    machine_.schedule_at(0.0, pe, [this](Pe& ctx) {
-      const auto [created, processed] = counters_(ctx);
-      reducer_->contribute(ctx, {static_cast<double>(created),
-                                 static_cast<double>(processed)});
-    });
-  }
+void TerminationDetector::contribute(Pe& pe) {
+  std::vector<double>& scratch = reports_[pe.id()];
+  scratch.clear();
+  scratch.reserve(reducer_.width());
+  report_(pe, scratch);
+  reducer_.contribute(pe, scratch);
 }
 
 namespace {

@@ -19,8 +19,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -158,37 +158,62 @@ class DrainRule {
   double last_created_ = -1.0;
 };
 
-/// Counter-based termination detection, built on a Reducer: every PE
-/// contributes (created, processed) counters, and the root terminates
-/// once DrainRule finds the global sums drained.
+/// The continuous reduction cycle of the asynchronous engines (ACIC,
+/// async CC, distributed control), built on an all-sum Reducer:
+/// counter-based termination (§II.D) with the engine's introspection
+/// riding along.  Each cycle every PE reports its created and processed
+/// counts in slots 0 and 1 and the engine's slots after them.  The root
+/// feeds slots 0 and 1 to a DrainRule.  While they have not drained, the
+/// root hook turns the cycle's sums into a payload, every PE's tick hook
+/// receives it (an engine adopts new thresholds and flushes its
+/// aggregation buffers there), and the PE reports again `interval_us`
+/// later.  Once they drain, the done hook runs once on every PE and no PE
+/// reports again.
 class TerminationDetector {
  public:
-  /// `counters` supplies (created, processed) for the PE; `on_tick` runs
-  /// on every PE at each broadcast (e.g. to flush aggregation buffers);
-  /// `on_terminate` runs on every PE once when termination is detected.
-  /// `interval_us` spaces out cycles; 0 re-contributes immediately.
-  TerminationDetector(
-      Machine& machine,
-      std::function<std::pair<std::uint64_t, std::uint64_t>(Pe&)> counters,
-      std::function<void(Pe&)> on_tick, std::function<void(Pe&)> on_terminate,
-      SimTime interval_us = 50.0);
+  /// Fills `report`, handed over empty, with the PE's created and
+  /// processed counts and the engine's slots after them.  It may stop at
+  /// its last non-zero slot.
+  using ReportHook = std::function<void(Pe&, std::vector<double>& report)>;
+  /// Runs at the root on every undrained cycle's sums; returns the
+  /// payload the tick hooks receive.
+  using RootHook = std::function<std::vector<double>(
+      Pe&, std::uint64_t cycle, const std::vector<double>& sums)>;
+  /// Runs on every PE with an undrained cycle's payload.
+  using TickHook = std::function<void(Pe&, std::span<const double> payload)>;
+  /// Runs once on every PE when the counters have drained.
+  using DoneHook = std::function<void(Pe&)>;
 
-  /// Starts the detection cycles (schedules the first contribution on
-  /// every PE at time 0).
-  void start();
+  /// `engine_slots` counts the slots after created and processed.
+  TerminationDetector(Machine& machine, std::size_t engine_slots,
+                      SimTime interval_us, ReportHook report,
+                      RootHook on_root, TickHook on_tick, DoneHook on_done);
+
+  TerminationDetector(const TerminationDetector&) = delete;
+  TerminationDetector& operator=(const TerminationDetector&) = delete;
+
+  /// Schedules every PE's first report at `time`.
+  void start(SimTime time = 0.0);
 
   bool terminated() const { return terminated_; }
-  std::uint64_t cycles() const { return reducer_->cycles_completed(); }
+  std::uint64_t cycles() const { return reducer_.cycles_completed(); }
 
  private:
+  /// Fills `pe`'s scratch through the report hook and contributes it.
+  void contribute(Pe& pe);
+
   Machine& machine_;
-  std::function<std::pair<std::uint64_t, std::uint64_t>(Pe&)> counters_;
-  std::function<void(Pe&)> on_tick_;
-  std::function<void(Pe&)> on_terminate_;
   SimTime interval_us_;
-  std::unique_ptr<Reducer> reducer_;
+  ReportHook report_;
+  RootHook on_root_;
+  TickHook on_tick_;
+  DoneHook on_done_;
+  /// One report scratch per PE, reused every cycle: the Reducer reads a
+  /// contribution only during the call.
+  std::vector<std::vector<double>> reports_;
   DrainRule drain_;  // root-side
   bool terminated_ = false;
+  Reducer reducer_;
 };
 
 /// The drained superstep barrier of the bulk-synchronous engines

@@ -38,6 +38,13 @@ std::vector<double> zipf_cdf(std::size_t n, double s) {
   return cdf;
 }
 
+/// Mutation kind mix; the remainder (1 - insert - remove) reweights.
+constexpr double kInsertFraction = 0.3;
+constexpr double kRemoveFraction = 0.3;
+static_assert(kInsertFraction >= 0.0 && kRemoveFraction >= 0.0 &&
+                  kInsertFraction + kRemoveFraction <= 1.0,
+              "mutation kind fractions must be a sub-distribution");
+
 }  // namespace
 
 std::vector<Query> generate_workload(const WorkloadConfig& config,
@@ -108,10 +115,6 @@ std::vector<MutationEvent> generate_mutation_stream(
                   "mutation stream samples targets from the edge set");
   ACIC_ASSERT_MSG(config.mutation_rate > 0.0 && config.batch_size > 0,
                   "mutation rate and batch size must be positive");
-  ACIC_ASSERT_MSG(
-      config.insert_fraction >= 0.0 && config.remove_fraction >= 0.0 &&
-          config.insert_fraction + config.remove_fraction <= 1.0,
-      "mutation kind fractions must be a sub-distribution");
 
   util::Xoshiro256 arrival_rng(util::derive_seed(config.seed, 10));
   util::Xoshiro256 kind_rng(util::derive_seed(config.seed, 11));
@@ -142,7 +145,7 @@ std::vector<MutationEvent> generate_mutation_stream(
       const double u = kind_rng.next_double();
       const double w =
           weight_rng.next_double(config.min_weight, config.max_weight);
-      if (u < config.insert_fraction) {
+      if (u < kInsertFraction) {
         // Random (src, dst) pair; a collision with an existing edge is a
         // legitimate upsert, a self edge is rejected downstream.
         const auto src = static_cast<graph::VertexId>(edge_rng.next_below(n));
@@ -152,7 +155,7 @@ std::vector<MutationEvent> generate_mutation_stream(
         const std::size_t e = edge_rng.next_below(base.num_edges());
         const graph::VertexId src = src_of(e);
         const graph::VertexId dst = base.neighbors()[e].dst;
-        if (u < config.insert_fraction + config.remove_fraction) {
+        if (u < kInsertFraction + kRemoveFraction) {
           event.batch.push_back(dynamic::Mutation::remove(src, dst));
         } else {
           event.batch.push_back(dynamic::Mutation::reweight(src, dst, w));

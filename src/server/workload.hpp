@@ -120,9 +120,6 @@ struct MutationWorkloadConfig {
   /// Mutations per applied batch (one batch = one epoch).
   std::size_t batch_size = 8;
   std::uint64_t num_batches = 50;
-  /// Kind mix; the remainder (1 - insert - remove) reweights.
-  double insert_fraction = 0.3;
-  double remove_fraction = 0.3;
   /// Inserted / reweighted edge weights, uniform in [min, max).
   double min_weight = 1.0;
   double max_weight = 10.0;

@@ -1,9 +1,10 @@
 #pragma once
-// Per-operation CPU costs shared by every distributed SSSP implementation
-// in this repository.  ACIC and the baselines charge the *same* costs for
-// the same logical operations, so simulated-time comparisons between them
-// reflect algorithmic structure (update counts, synchronization, message
-// aggregation) rather than arbitrary constant choices.
+// Per-operation CPU costs shared by every distributed engine in this
+// repository.  ACIC, the SSSP baselines and both connected-components
+// engines read the one table kCosts, so they charge the *same* costs for
+// the same logical operations, and simulated-time comparisons between
+// them reflect algorithmic structure (update counts, synchronization,
+// message aggregation) rather than arbitrary constant choices.
 
 #include "src/runtime/network.hpp"
 
@@ -17,5 +18,7 @@ struct CostModel {
   /// One push or pop on a PE-local priority queue / bucket structure.
   runtime::SimTime pq_op_us = 0.08;
 };
+
+inline constexpr CostModel kCosts{};
 
 }  // namespace acic::sssp

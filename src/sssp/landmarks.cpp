@@ -115,7 +115,7 @@ LandmarkBounds LandmarkIndex::bounds(VertexId s, VertexId t) const {
   LandmarkBounds b;
   b.lower = 0.0;
   b.upper = graph::kInfDist;
-  const double slack = config_.slack;
+  const double slack = kHeuristicSlack;
   for (std::size_t k = 0; k < landmarks_.size(); ++k) {
     if (from_valid_[k]) {
       const Dist a_t = from_[k][t];
@@ -147,7 +147,7 @@ LandmarkBounds LandmarkIndex::bounds(VertexId s, VertexId t) const {
 
 Dist LandmarkIndex::heuristic(VertexId v, VertexId t) const {
   Dist h = 0.0;
-  const double slack = config_.slack;
+  const double slack = kHeuristicSlack;
   for (std::size_t k = 0; k < landmarks_.size(); ++k) {
     if (from_valid_[k]) {
       const Dist a_t = from_[k][t];

@@ -55,15 +55,16 @@ namespace acic::sssp {
 struct LandmarkConfig {
   /// Landmarks to select (clamped to the number of usable vertices).
   std::size_t num_landmarks = 8;
-  /// Relative slack deflating every lower bound / heuristic value (and
-  /// inflating upper bounds).  Must exceed the worst accumulated
-  /// floating-point rounding of any path sum; 1e-7 is ~6 orders of
-  /// magnitude above the error reachable at 2^20-hop paths.
-  double slack = 1e-7;
 };
 
+/// Relative slack deflating every lower bound / heuristic value (and
+/// inflating upper bounds).  Must exceed the worst accumulated
+/// floating-point rounding of any path sum; 1e-7 is ~6 orders of
+/// magnitude above the error reachable at 2^20-hop paths.
+inline constexpr double kHeuristicSlack = 1e-7;
+
 /// Conservative two-sided bound on d(s, t): lower <= d(s, t) <= upper
-/// in the floating-point metric (slack-padded; see LandmarkConfig).
+/// in the floating-point metric (slack-padded by kHeuristicSlack).
 struct LandmarkBounds {
   graph::Dist lower = 0.0;
   graph::Dist upper = graph::kInfDist;

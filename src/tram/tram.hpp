@@ -48,15 +48,6 @@ struct TramConfig {
   std::size_t buffer_items = 1024;
   /// Serialized size of one item on the wire.
   std::size_t item_bytes = 16;
-  /// Sender CPU per inserted item (copy into the buffer).
-  runtime::SimTime insert_cost_us = 0.008;
-  /// Extra per-insert cost for process-shared sets (atomic operations,
-  /// paper §II.D).
-  runtime::SimTime atomic_penalty_us = 0.012;
-  /// Receiver CPU per delivered item (deserialize + dispatch).
-  runtime::SimTime deliver_cost_us = 0.01;
-  /// Comm-thread CPU per item when routing a process-destined aggregate.
-  runtime::SimTime route_cost_us = 0.004;
 
   /// Fault injection for tests: every Nth delivered item is delivered a
   /// second time (at-least-once semantics, as after a network-level
@@ -80,6 +71,16 @@ struct TramStats {
   std::uint64_t flushed_empty = 0;  // manual flushes that found no items
   std::uint64_t items_duplicated = 0;  // fault-injection duplicates
 };
+
+/// Sender CPU per inserted item (copy into the buffer).
+inline constexpr runtime::SimTime kInsertCostUs = 0.008;
+/// Extra per-insert cost for process-shared sets (atomic operations,
+/// paper §II.D).
+inline constexpr runtime::SimTime kAtomicPenaltyUs = 0.012;
+/// Receiver CPU per delivered item (deserialize + dispatch).
+inline constexpr runtime::SimTime kDeliverCostUs = 0.01;
+/// Comm-thread CPU per item when routing a process-destined aggregate.
+inline constexpr runtime::SimTime kRouteCostUs = 0.004;
 
 /// Aggregating channel for items of type T.  The delivery handler runs on
 /// the destination PE once per item, in buffer order — or once per batch,
@@ -125,8 +126,7 @@ class Tram {
     }
     node_.resize(topo_.nodes);
     insert_charge_us_ =
-        config_.insert_cost_us +
-        (set_owned_by_pe() ? 0.0 : config_.atomic_penalty_us);
+        kInsertCostUs + (set_owned_by_pe() ? 0.0 : kAtomicPenaltyUs);
     if (registry_ != nullptr) {
       obs::Registry& reg = *registry_;
       obs_items_inserted_ = reg.counter("tram/items_inserted", true);
@@ -400,7 +400,7 @@ class Tram {
     const runtime::PeId comm = topo_.comm_thread_of_proc(dst_proc);
     src.send(comm, bytes,
              [this, batch = std::move(batch)](runtime::Pe& comm_pe) mutable {
-               comm_pe.charge(config_.route_cost_us *
+               comm_pe.charge(kRouteCostUs *
                               static_cast<double>(batch.size()));
                fan_out(comm_pe, batch);
                recycle_vec(node_[node_of_[comm_pe.id()]],
@@ -458,7 +458,7 @@ class Tram {
     // item, nothing else in the loop.
     if (registry_ == nullptr &&
         config_.debug_duplicate_every == 0) [[likely]] {
-      const runtime::SimTime cost = config_.deliver_cost_us;
+      const runtime::SimTime cost = kDeliverCostUs;
       const std::size_t count = batch.size();
       if constexpr (kDeliversBatches) {
         deliver_.deliver_batch(pe, batch.data(), count, cost);
@@ -481,7 +481,7 @@ class Tram {
     }
     for (const Entry& entry : batch) {
       ACIC_HOT_ASSERT(entry_target(entry) == pe.id());
-      pe.charge(config_.deliver_cost_us);
+      pe.charge(kDeliverCostUs);
       ++nl.stats.items_delivered;
       if (registry_ != nullptr) [[unlikely]] {
         registry_->add(obs_items_delivered_, pe.id(), 1, pe.now());
@@ -491,7 +491,7 @@ class Tram {
       // its own Nth delivered item), so behavior is thread-agnostic.
       if (config_.debug_duplicate_every != 0 &&
           nl.stats.items_delivered % config_.debug_duplicate_every == 0) {
-        pe.charge(config_.deliver_cost_us);
+        pe.charge(kDeliverCostUs);
         ++nl.stats.items_duplicated;
         deliver_one(pe, entry_item(entry));
       }

@@ -37,7 +37,9 @@ void Options::parse(int argc, char** argv) {
     if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
       values_[arg] = argv[++i];
     } else {
-      values_[arg] = "1";
+      // Not `= "1"`: GCC 12 reports a false -Wrestrict on assigning a
+      // string literal to a std::string at -O2 without LTO.
+      values_.insert_or_assign(arg, std::string(1, '1'));
     }
   }
 }

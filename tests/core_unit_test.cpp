@@ -99,7 +99,7 @@ TEST(Thresholds, LowActivityOpensFully) {
   // <= 100 * |PE| active updates: both thresholds go to the top bucket.
   std::vector<double> histogram(16, 0.0);
   histogram[3] = 50;
-  const ThresholdPolicy policy{0.5, 0.05, 100};
+  const ThresholdPolicy policy{0.5, 0.05};
   const Thresholds t = compute_thresholds(histogram, 4, policy);
   EXPECT_EQ(t.t_tram, 15u);
   EXPECT_EQ(t.t_pq, 15u);
@@ -110,7 +110,7 @@ TEST(Thresholds, HighActivityUsesPercentiles) {
   histogram[2] = 500;
   histogram[5] = 400;
   histogram[9] = 100;
-  const ThresholdPolicy policy{0.999, 0.05, 100};
+  const ThresholdPolicy policy{0.999, 0.05};
   const Thresholds t = compute_thresholds(histogram, 4, policy);
   EXPECT_EQ(t.t_pq, 2u);    // 5% of 1000 = 50 <= 500 at bucket 2
   EXPECT_EQ(t.t_tram, 9u);  // 99.9% needs the last occupied bucket
@@ -120,7 +120,7 @@ TEST(Thresholds, BoundaryExactlyAtCutoff) {
   // total == 100 * |PE| counts as low activity (Algorithm 1 uses <=).
   std::vector<double> histogram(8, 0.0);
   histogram[1] = 400;
-  const ThresholdPolicy policy{0.5, 0.5, 100};
+  const ThresholdPolicy policy{0.5, 0.5};
   EXPECT_EQ(compute_thresholds(histogram, 4, policy).t_tram, 7u);
   histogram[1] = 401;
   EXPECT_EQ(compute_thresholds(histogram, 4, policy).t_tram, 1u);

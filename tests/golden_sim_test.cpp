@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -27,6 +28,8 @@
 #include "src/baselines/delta_stepping.hpp"
 #include "src/baselines/distributed_control.hpp"
 #include "src/baselines/kla.hpp"
+#include "src/baselines/sequential.hpp"
+#include "src/cc/async_cc.hpp"
 #include "src/cc/bsp_cc.hpp"
 #include "src/core/acic.hpp"
 #include "src/graph/csr.hpp"
@@ -68,8 +71,9 @@ struct Golden {
 };
 
 // Recorded from the build that fixed the aggregate wire sizes; the
-// delta_stepping_2d row was added later, at commit 8feb0aa, and the rows
-// after kla at commit 1729bc9.  No name ends in "no_pq": the linker would
+// delta_stepping_2d row was added later, at commit 8feb0aa, the rows
+// after kla to bsp_cc at commit 1729bc9, and the rows after bsp_cc at
+// commit 5104e91.  No name ends in "no_pq": the linker would
 // fold it with AcicParamSweep's literal of that name, whose address gtest
 // prints into that suite's test names.  For the same reason the
 // distributed-control rows do not reuse the solver names other suites
@@ -120,6 +124,15 @@ const Golden kGolden[] = {
     {"bsp_cc",
      {0xb964577b4ca57602ull, "0x1.3dd3c189371cap+13", 3613, 1344,
       901784, 65622, 62901, 0, 12}},
+    {"async_cc_prioritized",
+     {0xb964577b4ca57602ull, "0x1.aa510624dd19cp+12", 2833, 959,
+      1199864, 47332, 45769, 0, 9}},
+    {"async_cc_eager",
+     {0xb964577b4ca57602ull, "0x1.ff103126eb4a8p+12", 2095, 745,
+      1201208, 60496, 58869, 0, 6}},
+    {"acic_warm_start",
+     {0xc07b4c091e2cfb0eull, "0x1.283b604189513p+11", 2360, 733,
+      1432192, 7371, 6688, 320, 10}},
 };
 
 std::string row(const char* name, const Outcome& o) {
@@ -201,6 +214,25 @@ Outcome run_acic(const std::string& name, unsigned threads) {
 
   acic::core::AcicEngineOptions options;
   if (name == "acic_batched3") options.sources = {0, 17, 300};
+  // A warm repair joining at t = 1000: the lower half of the vertices
+  // keeps its exact distances, the upper half restarts at +inf, and
+  // every edge from a reached vertex of the lower half into the upper
+  // one seeds its head, so the fixed point is acic_default's.
+  std::vector<Dist> warm;
+  if (name == "acic_warm_start") {
+    const VertexId half = csr.num_vertices() / 2;
+    warm = acic::baselines::dijkstra(csr, 0);
+    for (VertexId u = 0; u < half; ++u) {
+      for (const acic::graph::Neighbor& nb : csr.out_neighbors(u)) {
+        if (nb.dst >= half && warm[u] != acic::graph::kInfDist) {
+          options.seeds.push_back({nb.dst, warm[u] + nb.weight});
+        }
+      }
+    }
+    std::fill(warm.begin() + half, warm.end(), acic::graph::kInfDist);
+    options.warm_dist = &warm;
+    options.start_time_us = 1000.0;
+  }
   acic::core::AcicEngine engine(machine, csr, partition, 0, config,
                                 std::move(options));
   const acic::runtime::RunStats stats = machine.run();
@@ -284,6 +316,17 @@ Outcome run_baseline(const std::string& name, unsigned threads) {
   return out;
 }
 
+std::uint64_t fnv1a_labels(const std::vector<VertexId>& labels) {
+  std::uint64_t h = kFnvBasis;
+  for (const VertexId label : labels) {
+    for (std::size_t i = 0; i < sizeof label; ++i) {
+      h ^= (label >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
 /// BSP label propagation on the symmetrized graph: the label vector is
 /// hashed in place of distances, and cycles counts barrier rounds.
 Outcome run_bsp_cc(unsigned threads) {
@@ -295,18 +338,35 @@ Outcome run_bsp_cc(unsigned threads) {
   const acic::cc::BspCcResult run = acic::cc::bsp_cc(machine, csr, partition);
   EXPECT_GT(run.supersteps, 1u);
   Outcome out;
-  out.dist_fnv = kFnvBasis;
-  for (const VertexId label : run.labels) {
-    for (std::size_t i = 0; i < sizeof label; ++i) {
-      out.dist_fnv ^= (label >> (8 * i)) & 0xffu;
-      out.dist_fnv *= 0x100000001b3ull;
-    }
-  }
+  out.dist_fnv = fnv1a_labels(run.labels);
   out.sim_time = hex(run.sim_time_us);
   fill_machine(machine, &out);
   out.created = run.updates_created;
   out.rejected = run.updates_rejected;
   out.cycles = run.barrier_rounds;
+  return out;
+}
+
+/// Asynchronous label propagation on the symmetrized graph, with or
+/// without its priority queue; its labels must hash as bsp_cc's do, and
+/// cycles counts reduction cycles.
+Outcome run_async_cc(const std::string& name, unsigned threads) {
+  const Csr& csr = symmetrized_graph();
+  Machine machine(kTopology);
+  machine.set_threads(threads);
+  const Partition1D partition =
+      Partition1D::block(csr.num_vertices(), machine.num_pes());
+  acic::cc::AsyncCcConfig config;
+  config.use_pq = name == "async_cc_prioritized";
+  const acic::cc::AsyncCcResult run =
+      acic::cc::async_cc(machine, csr, partition, config);
+  Outcome out;
+  out.dist_fnv = fnv1a_labels(run.labels);
+  out.sim_time = hex(run.sim_time_us);
+  fill_machine(machine, &out);
+  out.created = run.updates_created;
+  out.rejected = run.updates_rejected;
+  out.cycles = run.reduction_cycles;
   return out;
 }
 
@@ -335,6 +395,8 @@ TEST_P(Recorded, OutputsMatch) {
     got = run_acic(p.name, p.threads);
   } else if (p.name == "bsp_cc") {
     got = run_bsp_cc(p.threads);
+  } else if (p.name.rfind("async_cc", 0) == 0) {
+    got = run_async_cc(p.name, p.threads);
   } else {
     got = run_baseline(p.name, p.threads);
   }
@@ -368,7 +430,8 @@ std::vector<Param> params() {
         "delta_stepping_dist", "delta_stepping_2d", "kla",
         "delta_stepping_dist_buckets", "delta_stepping_2d_buckets",
         "distributed_control_ordered", "async_baseline_unordered",
-        "bsp_cc"}) {
+        "bsp_cc", "async_cc_prioritized", "async_cc_eager",
+        "acic_warm_start"}) {
     for (const unsigned threads : {1u, 4u}) out.push_back({name, threads});
   }
   return out;

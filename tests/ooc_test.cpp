@@ -158,11 +158,9 @@ TEST(OocCsrFile, StreamedGeneratorsMatchMaterialized) {
          graph::stream_uniform_random(p, sink);
        }},
       {"rmat",
-       [](const GenParams& p) {
-         return graph::generate_rmat(p, graph::RmatParams{});
-       },
+       [](const GenParams& p) { return graph::generate_rmat(p); },
        [](const GenParams& p, const graph::EdgeSink& sink) {
-         graph::stream_rmat(p, sink, graph::RmatParams{});
+         graph::stream_rmat(p, sink);
        }},
   };
   for (const Arm& arm : arms) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/runtime/collectives.hpp"
@@ -541,11 +542,16 @@ TEST(TerminationDetector, DetectsQuiescenceAfterStableCounters) {
   std::vector<std::uint64_t> processed(4, 1);
   std::vector<int> terminated(4, 0);
   TerminationDetector detector(
-      machine,
-      [&](Pe& pe) {
-        return std::make_pair(created[pe.id()], processed[pe.id()]);
+      machine, 0, 10.0,
+      [&](Pe& pe, std::vector<double>& report) {
+        report.push_back(static_cast<double>(created[pe.id()]));
+        report.push_back(static_cast<double>(processed[pe.id()]));
       },
-      [](Pe&) {}, [&](Pe& pe) { ++terminated[pe.id()]; }, 10.0);
+      [](Pe&, std::uint64_t, const std::vector<double>&) {
+        return std::vector<double>{};
+      },
+      [](Pe&, std::span<const double>) {},
+      [&](Pe& pe) { ++terminated[pe.id()]; });
   detector.start();
   machine.run();
   EXPECT_TRUE(detector.terminated());
@@ -554,21 +560,89 @@ TEST(TerminationDetector, DetectsQuiescenceAfterStableCounters) {
 
 TEST(TerminationDetector, WaitsWhileCountersMove) {
   Machine machine(Topology::tiny(2));
-  // PE 0's counters only match from the 3rd contribution on; termination
+  // PE 0's counters only match from the 3rd report on; termination
   // needs two further stable cycles after that.
   std::uint64_t calls = 0;
   TerminationDetector detector(
-      machine,
-      [&](Pe& pe) -> std::pair<std::uint64_t, std::uint64_t> {
+      machine, 0, 5.0,
+      [&](Pe& pe, std::vector<double>& report) {
         if (pe.id() == 0) ++calls;
         const std::uint64_t processed = (calls >= 3) ? 5u : calls;
-        return {5u, pe.id() == 0 ? processed : 5u};
+        report.push_back(5.0);
+        report.push_back(
+            static_cast<double>(pe.id() == 0 ? processed : 5u));
       },
-      [](Pe&) {}, [](Pe&) {}, 5.0);
+      [](Pe&, std::uint64_t, const std::vector<double>&) {
+        return std::vector<double>{};
+      },
+      [](Pe&, std::span<const double>) {}, [](Pe&) {});
   detector.start();
   machine.run();
   EXPECT_TRUE(detector.terminated());
   EXPECT_GE(detector.cycles(), 4u);
+}
+
+TEST(TerminationDetector, LiveCyclesTickEveryPeThenDoneRunsOnce) {
+  // PE 0 reports its last update processed from its 4th report on, so
+  // cycle 3 is the first with equal counters and cycle 4 drains: cycles
+  // 0–3 are live.  Each live cycle's root payload must reach
+  // every PE's tick hook; each next report must start `kInterval` after
+  // its tick ends, the tick's own charge included; and the done hook
+  // must run once per PE, after which nothing reports again.
+  constexpr SimTime kInterval = 25.0;
+  constexpr SimTime kStart = 100.0;
+  constexpr SimTime kTickCost = 3.0;
+  constexpr PeId kPes = 6;
+  Machine machine(Topology::tiny(kPes));
+  std::vector<std::vector<SimTime>> reports(kPes);
+  std::vector<std::vector<SimTime>> tick_ends(kPes);
+  std::vector<std::vector<std::vector<double>>> ticked(kPes);
+  std::vector<std::vector<double>> root_payloads;
+  std::vector<int> done(kPes, 0);
+  TerminationDetector detector(
+      machine, 1, kInterval,
+      [&](Pe& pe, std::vector<double>& report) {
+        EXPECT_TRUE(report.empty());
+        reports[pe.id()].push_back(pe.now());
+        const bool pending = pe.id() == 0 && reports[0].size() < 4;
+        report.push_back(1.0);
+        report.push_back(pending ? 0.0 : 1.0);
+        report.push_back(static_cast<double>(pe.id()));
+      },
+      [&](Pe&, std::uint64_t cycle, const std::vector<double>& sums) {
+        // Slot 2 sums the PE ids 0 + 1 + ... + 5.
+        EXPECT_EQ(sums[2], 15.0);
+        root_payloads.push_back(
+            {static_cast<double>(cycle), sums[0] - sums[1], 7.0});
+        return root_payloads.back();
+      },
+      [&](Pe& pe, std::span<const double> payload) {
+        ticked[pe.id()].emplace_back(payload.begin(), payload.end());
+        pe.charge(kTickCost);
+        tick_ends[pe.id()].push_back(pe.now());
+      },
+      [&](Pe& pe) { ++done[pe.id()]; });
+  detector.start(kStart);
+  const RunStats stats = machine.run(/*time_limit=*/1e5);
+
+  ASSERT_FALSE(stats.hit_time_limit);
+  EXPECT_TRUE(detector.terminated());
+  ASSERT_EQ(detector.cycles(), 5u);
+  ASSERT_EQ(root_payloads.size(), 4u);
+  EXPECT_EQ(root_payloads[0], (std::vector<double>{0.0, 1.0, 7.0}));
+  EXPECT_EQ(root_payloads[3], (std::vector<double>{3.0, 0.0, 7.0}));
+  for (PeId p = 0; p < kPes; ++p) {
+    EXPECT_EQ(ticked[p], root_payloads) << "PE " << p;
+    ASSERT_EQ(reports[p].size(), detector.cycles()) << "PE " << p;
+    EXPECT_EQ(reports[p][0], kStart);
+    for (std::size_t k = 0; k < tick_ends[p].size(); ++k) {
+      EXPECT_EQ(reports[p][k + 1], tick_ends[p][k] + kInterval)
+          << "PE " << p << " cycle " << k;
+    }
+    EXPECT_EQ(done[p], 1) << "PE " << p;
+  }
+  // Nothing was left scheduled: a second run has no work.
+  EXPECT_EQ(machine.run().tasks_executed, 0u);
 }
 
 TEST(Superstep, LateMessageForcesNoopRoundsUntilDrained) {
