@@ -40,6 +40,11 @@
 
 namespace acic::dynamic {
 
+/// Default repair-vs-recompute pivot: a repair whose affected set
+/// exceeds this fraction of the vertices falls back to a cold solve.
+/// The serving layer's warm repairs use it too.
+inline constexpr double kRecomputeFraction = 0.25;
+
 struct IncrementalConfig {
   /// Per-solve engine configuration (thresholds, tram, costs).
   core::AcicConfig engine;
@@ -51,7 +56,7 @@ struct IncrementalConfig {
   /// Fall back to a cold from-scratch solve when the affected set
   /// exceeds this fraction of the vertices.  1.0 forces repair always,
   /// 0.0 forces recompute always (the bench's recompute arm).
-  double recompute_fraction = 0.25;
+  double recompute_fraction = kRecomputeFraction;
   /// Optional registry for the dynamic/* counters, published between
   /// solves (the per-solve machines run unobserved).  Must outlive the
   /// solver.

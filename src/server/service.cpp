@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "src/dynamic/incremental.hpp"
 #include "src/dynamic/repair.hpp"
 #include "src/graph/edge_list.hpp"
 #include "src/util/assert.hpp"
@@ -10,6 +11,27 @@
 namespace acic::server {
 
 namespace {
+
+/// PE that runs the front end (arrival handling, admission).
+constexpr runtime::PeId kFrontendPe = 0;
+/// Front-end CPU charged per cache lookup.
+constexpr runtime::SimTime kCacheLookupCostUs = 0.2;
+/// Front-end CPU charged per landmark-table consultation.
+constexpr runtime::SimTime kLandmarkLookupCostUs = 0.1;
+/// Front-end CPU charged per vertex the A* search settles.
+constexpr runtime::SimTime kAstarSettleCostUs = 0.05;
+/// Recompute invalid landmark rows after a mutation batch once at least
+/// this fraction of rows is invalid.
+constexpr double kLandmarkRefreshFraction = 0.5;
+/// Front-end CPU charged per refreshed landmark row (a full Dijkstra).
+constexpr runtime::SimTime kLandmarkRefreshCostUs = 20.0;
+/// Front-end CPU charged per applied mutation record.
+constexpr runtime::SimTime kMutationApplyCostUs = 0.5;
+/// Front-end CPU charged to plan one warm repair at admission.
+constexpr runtime::SimTime kRepairPlanCostUs = 1.0;
+/// Invalidated cache entries parked as warm-repair states; the oldest
+/// parked state is evicted beyond the bound.
+constexpr std::size_t kMaxStaleStates = 8;
 
 /// Exact staleness test of one cached distance vector against one net
 /// edge change.  Removal / increase of (u, v) can only matter if the
@@ -95,7 +117,6 @@ void QueryService::define_counters() {
                   "admission controller needs max_inflight >= 1");
   ACIC_ASSERT_MSG(config_.batching.max_batch > 0,
                   "batch size 0 would admit nothing");
-  ACIC_ASSERT(config_.frontend_pe < machine_.num_pes());
 
   if (registry_ != nullptr) {
     obs::Registry& reg = *registry_;
@@ -157,10 +178,10 @@ void QueryService::submit(const std::vector<Query>& queries) {
     pending_records_.push_back(record);
     ++submitted_;
     if (registry_ != nullptr) {
-      registry_->add(obs_submitted_, config_.frontend_pe, 1,
+      registry_->add(obs_submitted_, kFrontendPe, 1,
                      machine_.current_time());
     }
-    machine_.schedule_at(query.arrival_us, config_.frontend_pe,
+    machine_.schedule_at(query.arrival_us, kFrontendPe,
                          [this, index](runtime::Pe& pe) {
                            on_arrival(pe, index);
                          });
@@ -171,7 +192,7 @@ void QueryService::submit_mutations(const std::vector<MutationEvent>& events) {
   ACIC_ASSERT_MSG(owned_graph_ == nullptr,
                   "submit_mutations requires the DynamicGraph constructor");
   for (const MutationEvent& event : events) {
-    machine_.schedule_at(event.apply_us, config_.frontend_pe,
+    machine_.schedule_at(event.apply_us, kFrontendPe,
                          [this, batch = event.batch](runtime::Pe& pe) {
                            apply_mutations(pe, batch);
                          });
@@ -184,7 +205,7 @@ void QueryService::apply_mutations(runtime::Pe& pe,
   const auto before = dynamic_->snapshot_ptr();
   const dynamic::ApplyStats stats = dynamic_->apply(batch);
   mutations_applied_ += stats.applied();
-  pe.charge(config_.dynamics.mutation_apply_cost_us *
+  pe.charge(kMutationApplyCostUs *
             static_cast<double>(stats.applied()));
   if (registry_ != nullptr && stats.applied() > 0) {
     registry_->add(obs_mutations_, pe.id(), stats.applied(), pe.now());
@@ -235,11 +256,11 @@ void QueryService::apply_mutations(runtime::Pe& pe,
     }
     if (landmarks_index_->invalid_rows() > 0 &&
         landmarks_index_->invalid_fraction() >=
-            config_.landmarks.refresh_fraction) {
+            kLandmarkRefreshFraction) {
       const auto snap = dynamic_->snapshot_ptr();
       const std::size_t refreshed =
           landmarks_index_->refresh(snap->csr, snap->reverse);
-      pe.charge(config_.landmarks.refresh_cost_us *
+      pe.charge(kLandmarkRefreshCostUs *
                 static_cast<double>(refreshed));
       if (registry_ != nullptr && refreshed > 0) {
         registry_->add(obs_rows_refreshed_, pe.id(),
@@ -252,13 +273,12 @@ void QueryService::apply_mutations(runtime::Pe& pe,
 
 void QueryService::park_stale_state(graph::VertexId source,
                                     StaleState state) {
-  if (config_.dynamics.max_stale_states == 0) return;
   const auto it = stale_states_.find(source);
   if (it != stale_states_.end()) {
     it->second = std::move(state);  // newer epoch supersedes
     return;
   }
-  if (stale_states_.size() >= config_.dynamics.max_stale_states) {
+  if (stale_states_.size() >= kMaxStaleStates) {
     stale_states_.erase(stale_order_.front());
     stale_order_.erase(stale_order_.begin());
   }
@@ -280,7 +300,7 @@ bool QueryService::serve_p2p_frontend(runtime::Pe& pe,
                                       std::size_t record_index) {
   if (landmarks_index_ == nullptr) return false;
   QueryRecord& record = pending_records_[record_index];
-  pe.charge(config_.landmarks.lookup_cost_us);
+  pe.charge(kLandmarkLookupCostUs);
 
   graph::Dist exact = 0.0;
   if (landmarks_index_->exact_p2p(record.source, record.target, &exact)) {
@@ -291,8 +311,6 @@ bool QueryService::serve_p2p_frontend(runtime::Pe& pe,
     complete_record(pe, record_index, ServeTier::kLandmark, nullptr);
     return true;
   }
-  if (!config_.landmarks.goal_directed) return false;
-
   // Goal-directed A* on the front end, against the *current* snapshot
   // (the heuristic's surviving rows are exact for it — see the sweep in
   // apply_mutations).  Charged per settled vertex: goal direction is
@@ -302,7 +320,7 @@ bool QueryService::serve_p2p_frontend(runtime::Pe& pe,
   sssp::P2pStats stats;
   const graph::Dist d = landmarks_index_->p2p(
       snap->csr, record.source, record.target, &p2p_workspace_, &stats);
-  pe.charge(config_.landmarks.astar_settle_cost_us *
+  pe.charge(kAstarSettleCostUs *
             static_cast<double>(stats.settled));
   record.admit_us = pe.now();
   record.epoch = snap->epoch;
@@ -315,7 +333,7 @@ void QueryService::on_arrival(runtime::Pe& pe, std::size_t record_index) {
   const runtime::ScopedSpan span(tracer_, pe, "server/arrival");
   QueryRecord& record = pending_records_[record_index];
   // Front-end cache check: the one counted lookup this query makes.
-  pe.charge(config_.cache_lookup_cost_us);
+  pe.charge(kCacheLookupCostUs);
   const std::uint64_t prevented_before = cache_.stats().stale_hits_prevented;
   if (cache_.lookup(record.source) != nullptr) {
     serve_from_cache(pe, record_index);
@@ -402,7 +420,7 @@ bool QueryService::start_engine(runtime::Pe& pe, const Pending& pending) {
     stale_states_.erase(stale_it);
     stale_order_.erase(std::find(stale_order_.begin(), stale_order_.end(),
                                  pending.source));
-    pe.charge(config_.dynamics.repair_plan_cost_us);
+    pe.charge(kRepairPlanCostUs);
 
     dynamic::SsspState state;
     state.source = pending.source;
@@ -436,7 +454,7 @@ bool QueryService::start_engine(runtime::Pe& pe, const Pending& pending) {
     const double affected_fraction =
         static_cast<double>(plan.affected.size()) /
         static_cast<double>(graph_view().num_vertices());
-    if (affected_fraction <= config_.dynamics.recompute_fraction) {
+    if (affected_fraction <= dynamic::kRecomputeFraction) {
       record.repaired = true;
       options.warm_dist = &plan.warm_dist;  // copied by the constructor
       options.seeds = plan.seeds;
@@ -608,7 +626,7 @@ void QueryService::sample_queue(runtime::SimTime time_us) {
 void QueryService::schedule_retirement_sweep(runtime::Pe& pe) {
   if (sweep_scheduled_) return;
   sweep_scheduled_ = true;
-  machine_.schedule_at(pe.now(), config_.frontend_pe,
+  machine_.schedule_at(pe.now(), kFrontendPe,
                        [this](runtime::Pe&) {
                          retiring_.clear();
                          sweep_scheduled_ = false;

@@ -16,7 +16,7 @@
 //     │  for a point-to-point query — the cache stays keyed by source)
 //     ├─ p2p and the landmark tier proves the answer (s == t, landmark
 //     │  row hit, structural unreachability)?  serve exactly, no search
-//     ├─ p2p and goal-directed serving is on?  front-end A* with the
+//     ├─ p2p and the landmark tier is on?  front-end A* with the
 //     │  landmark heuristic — exact, charged per settled vertex
 //     └─ otherwise: join the FIFO admission queue
 //   admission (capacity below max_inflight frees up)
@@ -124,42 +124,14 @@ struct BatchPolicy {
   std::size_t max_batch = 1;
 };
 
-/// Landmark (ALT) tier for point-to-point queries.
+/// Landmark (ALT) tier for point-to-point queries: exact answers without
+/// a search where the table proves them, else a front-end goal-directed
+/// A* search (exact; see src/sssp/landmarks.hpp).
 struct LandmarkPolicy {
   /// Landmarks to precompute at construction; 0 disables the tier
   /// (p2p queries then fall through to full engine passes).  The 2k
   /// Dijkstra rows are built offline — no simulated time is charged.
   std::size_t num_landmarks = 0;
-  /// Serve p2p cache misses with a front-end goal-directed A* search
-  /// instead of queueing them for an engine.  Exact (see
-  /// src/sssp/landmarks.hpp); false restricts the tier to the
-  /// no-search exact answers.
-  bool goal_directed = true;
-  /// Front-end CPU charged per landmark-table consultation.
-  runtime::SimTime lookup_cost_us = 0.1;
-  /// Front-end CPU charged per vertex the A* search settles.
-  runtime::SimTime astar_settle_cost_us = 0.05;
-  /// Recompute invalid rows after a mutation batch once at least this
-  /// fraction of rows is invalid (1.0 = never refresh, rows just stop
-  /// guiding; 0.0 = refresh eagerly every time a row dies).
-  double refresh_fraction = 0.5;
-  /// Front-end CPU charged per refreshed row (a full Dijkstra).
-  runtime::SimTime refresh_cost_us = 20.0;
-};
-
-/// Knobs for serving under churn (DynamicGraph constructor).  Grouped:
-/// earlier revisions spread these flat over ServiceConfig.
-struct DynamicPolicy {
-  /// Front-end CPU charged per applied mutation record.
-  runtime::SimTime mutation_apply_cost_us = 0.5;
-  /// Front-end CPU charged to plan one warm repair at admission.
-  runtime::SimTime repair_plan_cost_us = 1.0;
-  /// Invalidated cache entries parked as warm-repair states (0 disables
-  /// warm repair; oldest parked state evicted beyond the bound).
-  std::size_t max_stale_states = 8;
-  /// A warm repair whose invalidated subtree exceeds this fraction of
-  /// the vertices falls back to a cold engine.
-  double recompute_fraction = 0.25;
 };
 
 struct ServiceConfig {
@@ -170,10 +142,6 @@ struct ServiceConfig {
   std::uint32_t max_inflight = 2;
   /// Result-cache capacity in entries; 0 disables caching.
   std::size_t cache_capacity = 8;
-  /// Front-end CPU charged per cache lookup.
-  runtime::SimTime cache_lookup_cost_us = 0.2;
-  /// PE that runs the front end (arrival handling, admission).
-  runtime::PeId frontend_pe = 0;
   /// Retain every completed full-SSSP query's distance vector so
   /// result_of() can return it (memory-heavy; for tests and validation
   /// harnesses).  Point-to-point results are scalars and are always
@@ -182,7 +150,6 @@ struct ServiceConfig {
 
   BatchPolicy batching;
   LandmarkPolicy landmarks;
-  DynamicPolicy dynamics;
 };
 
 /// Typed result of one completed query, addressable by id.
