@@ -46,7 +46,7 @@ namespace acic::dynamic {
 inline constexpr double kRecomputeFraction = 0.25;
 
 struct IncrementalConfig {
-  /// Per-solve engine configuration (thresholds, tram, costs).
+  /// Per-solve engine configuration (thresholds, tram).
   core::AcicConfig engine;
   /// Simulated machine shape for every solve (fresh machine per solve,
   /// so simulated time restarts at zero each epoch).

@@ -135,7 +135,7 @@ struct LandmarkPolicy {
 };
 
 struct ServiceConfig {
-  /// Per-query engine configuration (thresholds, tram, costs).
+  /// Per-query engine configuration (thresholds, tram).
   core::AcicConfig engine;
   /// Admission bound: maximum concurrently running engines (a batch
   /// occupies one slot regardless of its lane count).
